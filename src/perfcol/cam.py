@@ -18,6 +18,14 @@ Consistency is what makes the color class sizes well defined: counting
 the edges between classes i and j in two ways gives a_ij v_i = a_ji v_j,
 so the sizes are determined up to scale by walking any spanning tree of
 the color graph.  All arithmetic here is exact integer arithmetic.
+
+Validation happens once, at the public boundary.  A public function
+normalizes its matrix argument with entries_of (which hands back the
+entries of a ColorAdjacencyMatrix as they are) and passes the nested
+int tuples to _-prefixed kernels.  The kernels, here and in the other
+modules, take already-normalized nested int tuples and never validate;
+internal callers that hold such tuples call the kernels, never the
+public functions.
 """
 
 from __future__ import annotations
@@ -43,12 +51,9 @@ class ColorAdjacencyMatrix:
     entries: Entries
 
     def __post_init__(self):
-        rows = tuple(tuple(index(x) for x in row) for row in self.entries)
+        rows = entries_of(self.entries)
         if not rows:
             raise ValueError("matrix must have at least one row")
-        m = len(rows)
-        if any(len(row) != m for row in rows):
-            raise ValueError("matrix must be square")
         if any(x < 0 for row in rows for x in row):
             raise ValueError("matrix entries must be nonnegative")
         object.__setattr__(self, "entries", rows)
@@ -90,29 +95,40 @@ class RationalVector:
 def entries_of(A) -> Entries:
     """Normalize a matrix argument to nested tuples of ints.
 
-    Accepts a ColorAdjacencyMatrix or any nested sequence of integers.
+    Accepts a ColorAdjacencyMatrix or any square nested sequence of
+    integers; raises ValueError when a row's length differs from the
+    number of rows.
     """
     if isinstance(A, ColorAdjacencyMatrix):
         return A.entries
-    return tuple(tuple(index(x) for x in row) for row in A)
+    rows = tuple(tuple(index(x) for x in row) for row in A)
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
+    return rows
 
 
 def parse_matrix(text: str) -> ColorAdjacencyMatrix:
     """Parse a matrix from its compact text form, e.g. ``[[0,3],[1,2]]``.
 
     The compact form is itself valid JSON, so JSON documents are accepted
-    as well.
+    as well.  JSON booleans are not integers here.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not a matrix: {exc}") from None
-    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
+    obj = _load_json(text, "not a matrix")
+    if (not isinstance(obj, list) or not all(isinstance(r, list) for r in obj)
+            or any(isinstance(x, bool) for r in obj for x in r)):
         raise ValueError("expected an array of arrays of integers")
     try:
         return ColorAdjacencyMatrix(tuple(tuple(r) for r in obj))
     except TypeError:
         raise ValueError("expected an array of arrays of integers") from None
+
+
+def _load_json(text: str, what: str):
+    """json.loads, reporting every failure (deep nesting too) as ValueError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def conjugate(A, perm: Sequence[int]) -> ColorAdjacencyMatrix:
@@ -128,7 +144,10 @@ def conjugate(A, perm: Sequence[int]) -> ColorAdjacencyMatrix:
 
 def is_weakly_symmetric(A) -> bool:
     """True iff a_ij = 0 exactly when a_ji = 0, for every pair i != j."""
-    a = entries_of(A)
+    return _weakly_symmetric(entries_of(A))
+
+
+def _weakly_symmetric(a: Entries) -> bool:
     m = len(a)
     return all((a[i][j] == 0) == (a[j][i] == 0)
                for i in range(m) for j in range(i + 1, m))
@@ -143,7 +162,10 @@ def is_color_connected(A) -> bool:
     this graph is the same as A not being conjugate to a block diagonal
     matrix with more than one block.
     """
-    a = entries_of(A)
+    return _color_connected(entries_of(A))
+
+
+def _color_connected(a: Entries) -> bool:
     m = len(a)
     seen = 1
     stack = [0]
@@ -274,20 +296,28 @@ def class_ratios(A) -> RationalVector:
     Requires a weakly symmetric, consistent, color-connected matrix;
     raises ValueError otherwise, naming the failed condition.
     """
-    a = entries_of(A)
-    if not is_weakly_symmetric(a):
+    return RationalVector(_ratios(entries_of(A)))
+
+
+def _ratios(a: Entries) -> tuple[int, ...]:
+    """class_ratios on normalized entries, as a plain tuple."""
+    if not _weakly_symmetric(a):
         raise ValueError("class ratios undefined: matrix is not weakly symmetric")
-    if not is_color_connected(a):
+    if not _color_connected(a):
         raise ValueError("class ratios undefined: color graph is not connected")
     ratios = _ratios_or_none(a)
     if ratios is None:
         raise ValueError("class ratios undefined: matrix is not consistent")
-    return RationalVector(ratios)
+    return ratios
 
 
 def sizes_for(A, n: int) -> tuple[int, ...] | None:
     """Scale class_ratios(A) to sum to n, or None if no integer scaling exists."""
-    ratios = class_ratios(A).numerators
+    return _scaled(_ratios(entries_of(A)), n)
+
+
+def _scaled(ratios: tuple[int, ...], n: int) -> tuple[int, ...] | None:
+    """sizes_for on a ratio vector."""
     total = sum(ratios)
     if n <= 0 or n % total:
         return None

@@ -20,12 +20,12 @@ import sys
 from pathlib import Path
 
 from .cam import (
+    _scaled,
     class_ratios,
     is_color_connected,
     is_consistent,
     is_weakly_symmetric,
     parse_matrix,
-    sizes_for,
 )
 from .enumeration import canonical_form, enumerate_cams, passes_filters
 from .golden import (
@@ -234,7 +234,7 @@ def cmd_filter(args) -> int:
     }
     if args.graph:
         graph = _load_graph(args.graph)
-        sizes = sizes_for(A, graph.n) if valid else None
+        sizes = _scaled(ratios, graph.n) if ratios else None
         report["graph_n"] = graph.n
         report["sizes"] = list(sizes) if sizes else None
         report["spectral"] = spectral_filter(A, graph)

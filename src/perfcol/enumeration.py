@@ -21,17 +21,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import comb
 from multiprocessing import Pool
 
 from .cam import (
     ColorAdjacencyMatrix,
+    _color_connected,
+    _ratios,
     _ratios_or_none,
-    class_ratios,
+    _weakly_symmetric,
     entries_of,
-    is_color_connected,
-    is_weakly_symmetric,
 )
 
 
@@ -53,11 +53,7 @@ class EnumerationResult:
 @lru_cache(maxsize=None)
 def _compositions(k: int, m: int) -> tuple[tuple[int, ...], ...]:
     """All m-tuples of nonnegative integers summing to k, lexicographic."""
-    if m == 1:
-        return ((k,),)
-    return tuple((head,) + tail
-                 for head in range(k + 1)
-                 for tail in _compositions(k - head, m - 1))
+    return tuple(c for c in product(range(k + 1), repeat=m) if sum(c) == k)
 
 
 def generate_row_sum_matrices(m: int, k: int):
@@ -77,18 +73,23 @@ def generate_row_sum_matrices(m: int, k: int):
 def passes_filters(A) -> bool:
     """The per-matrix filter of the enumeration.
 
-    True iff A is weakly symmetric, color-connected, consistent, and its
-    class ratio vector is nondecreasing.
+    True iff A has a common row sum, is weakly symmetric,
+    color-connected, consistent, and its class ratio vector is
+    nondecreasing.
     """
     a = entries_of(A)
-    if not is_weakly_symmetric(a):
-        return False
-    if not is_color_connected(a):
-        return False
-    ratios = _ratios_or_none(a)
-    if ratios is None:
-        return False
-    return all(x <= y for x, y in zip(ratios, ratios[1:]))
+    return (_weakly_symmetric(a) and len({sum(row) for row in a}) == 1
+            and _survivor_ratios(a) is not None)
+
+
+def _survivor_ratios(a) -> tuple[int, ...] | None:
+    """The filter after weak symmetry: the class ratios of a
+    color-connected, consistent matrix whose ratios are nondecreasing,
+    else None."""
+    ratios = _ratios_or_none(a) if _color_connected(a) else None
+    if ratios is None or any(x > y for x, y in zip(ratios, ratios[1:])):
+        return None
+    return ratios
 
 
 def canonical_form(A) -> ColorAdjacencyMatrix:
@@ -99,7 +100,7 @@ def canonical_form(A) -> ColorAdjacencyMatrix:
     lexicographically smallest is the representative.
     """
     a = entries_of(A)
-    return ColorAdjacencyMatrix(_canonical_key(a, class_ratios(a).numerators))
+    return ColorAdjacencyMatrix(_canonical_key(a, _ratios(a)))
 
 
 def _canonical_key(a, ratios) -> tuple[tuple[int, ...], ...]:
@@ -125,9 +126,13 @@ def canonical_dedup(candidates) -> list[ColorAdjacencyMatrix]:
     The input matrices must pass passes_filters (their ratios must at
     least be defined).
     """
-    keys = {_canonical_key(a, class_ratios(a).numerators)
-            for a in map(entries_of, candidates)}
-    return [ColorAdjacencyMatrix(key) for key in sorted(keys)]
+    return list(_dedup((a, _ratios(a)) for a in map(entries_of, candidates)))
+
+
+def _dedup(pairs) -> tuple[ColorAdjacencyMatrix, ...]:
+    """Canonical representatives of (entries, ratios) pairs, sorted."""
+    keys = {_canonical_key(a, ratios) for a, ratios in pairs}
+    return tuple(ColorAdjacencyMatrix(key) for key in sorted(keys))
 
 
 def enumerate_cams(m: int, k: int, threads: int | None = None) -> EnumerationResult:
@@ -141,27 +146,37 @@ def enumerate_cams(m: int, k: int, threads: int | None = None) -> EnumerationRes
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
+    if threads is None:
+        threads = _env_threads()
     if (m, k) in _memo:
         return _memo[(m, k)]
-    if threads is None:
-        threads = int(os.environ.get("PERFCOL_THREADS") or 1)
     count = len(_compositions(k, m))
     if threads > 1 and count >= 2 * threads:
         bounds = [i * count // threads for i in range(threads + 1)]
         jobs = [(m, k, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         with Pool(processes=len(jobs)) as pool:
-            chunks = pool.map(_scan_job, jobs)
-        candidates = [cand for chunk in chunks for cand in chunk]
+            candidates = chain.from_iterable(pool.starmap(_scan_range, jobs))
     else:
         candidates = _scan_range(m, k, 0, count)
-    keys = {_canonical_key(a, ratios) for a, ratios in candidates}
-    survivors = tuple(ColorAdjacencyMatrix(key) for key in sorted(keys))
-    result = EnumerationResult(m, k, comb(k + m - 1, m - 1) ** m, survivors)
+    result = EnumerationResult(m, k, comb(k + m - 1, m - 1) ** m,
+                               _dedup(candidates))
     _memo[(m, k)] = result
     return result
 
 
 _memo: dict[tuple[int, int], EnumerationResult] = {}
+
+
+def _env_threads() -> int:
+    text = os.environ.get("PERFCOL_THREADS") or "1"
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(
+            f"PERFCOL_THREADS must be a positive integer, got {text!r}")
+    return threads
 
 
 @lru_cache(maxsize=None)
@@ -198,15 +213,9 @@ def _scan_range(m: int, k: int, lo: int, hi: int):
     def descend(i: int):
         if i == m:
             a = tuple(rows)
-            if not is_color_connected(a):
-                return
-            ratios = _ratios_or_none(a)
-            if ratios is None:
-                return
-            for x, y in zip(ratios, ratios[1:]):
-                if x > y:
-                    return
-            out.append((a, ratios))
+            ratios = _survivor_ratios(a)
+            if ratios is not None:
+                out.append((a, ratios))
             return
         mask = 0
         for j in range(i):
@@ -220,7 +229,3 @@ def _scan_range(m: int, k: int, lo: int, hi: int):
         rows[0] = comps[first]
         descend(1)
     return out
-
-
-def _scan_job(args):
-    return _scan_range(*args)

@@ -18,11 +18,10 @@ connected component together with its coloring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import index
 
-from .cam import ColorAdjacencyMatrix, class_ratios, entries_of
+from .cam import ColorAdjacencyMatrix, _load_json, _ratios, entries_of
 
 
 @dataclass(frozen=True)
@@ -286,9 +285,12 @@ def minimal_class_sizes(A) -> tuple[int, ...]:
     j != i.  For a valid matrix some multiple always works; this is the
     first one.
     """
-    a = entries_of(A)
+    return _minimal_sizes(entries_of(A))
+
+
+def _minimal_sizes(a) -> tuple[int, ...]:
     m = len(a)
-    ratios = class_ratios(a).numerators
+    ratios = _ratios(a)
     t = 1
     for i in range(m):
         need = a[i][i] + 1
@@ -313,7 +315,7 @@ def build_witness(A) -> tuple[Graph, Coloring]:
     """
     a = entries_of(A)
     m = len(a)
-    sizes = minimal_class_sizes(a)
+    sizes = _minimal_sizes(a)
     offsets = [0]
     for size in sizes:
         offsets.append(offsets[-1] + size)
@@ -455,8 +457,26 @@ def graph_to_json(G: Graph) -> dict:
 
 
 def graph_from_json(document) -> Graph:
-    """Rebuild a graph from graph_to_json output (mapping or JSON text)."""
-    obj = json.loads(document) if isinstance(document, str) else document
+    """Rebuild a graph from graph_to_json output (mapping or JSON text).
+
+    Raises ValueError, naming the problem, unless n is a nonnegative
+    integer and every edge is a pair of integers.
+    """
+    obj = (_load_json(document, "not a graph") if isinstance(document, str)
+           else document)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("expected an object with 'n' and 'edges'")
-    return Graph.from_edges(obj["n"], [tuple(e) for e in obj["edges"]])
+    n, edges = obj["n"], obj["edges"]
+    if not _is_int(n) or n < 0:
+        raise ValueError("'n' must be a nonnegative integer")
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError("'edges' must be an array of [u, v] pairs")
+    for i, e in enumerate(edges):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2
+                and _is_int(e[0]) and _is_int(e[1])):
+            raise ValueError(f"edge {i} is not a pair of integers [u, v]")
+    return Graph.from_edges(n, [tuple(e) for e in edges])
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)

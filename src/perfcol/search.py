@@ -20,14 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cam import (
-    ColorAdjacencyMatrix,
-    entries_of,
-    is_color_connected,
-    is_consistent,
-    is_weakly_symmetric,
-    sizes_for,
-)
+from .cam import ColorAdjacencyMatrix, _ratios, _scaled, entries_of, sizes_for
 from .graphs import Coloring, Graph, platonic
 from .spectral import spectral_filter
 from .enumeration import enumerate_cams
@@ -79,12 +72,12 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
     if not G.is_connected():
         raise ValueError("search expects a connected graph")
     counting = mode == "count_all"
-    nothing = SearchOutcome(False, None, 0 if counting else None)
-    if not (is_weakly_symmetric(a) and is_consistent(a) and is_color_connected(a)):
-        return nothing
-    quota = sizes_for(a, G.n)
+    try:
+        quota = _scaled(_ratios(a), G.n)
+    except ValueError:
+        quota = None  # the matrix fails a validity condition
     if quota is None:
-        return nothing
+        return SearchOutcome(False, None, 0 if counting else None)
 
     order = G.bfs_order(0)
     adj = G.adj

@@ -70,8 +70,6 @@ def char_poly(M) -> IntPolynomial:
     """
     a = entries_of(M)
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
     coeffs = [1]
     work = [list(row) for row in a]
     for i in range(1, n + 1):
@@ -116,13 +114,9 @@ def divides(p: IntPolynomial, q: IntPolynomial) -> bool:
 
 def spectral_filter(A, G) -> bool:
     """True iff char_poly(A) divides the graph's adjacency char poly."""
-    pa = char_poly(entries_of(A))
-    return divides(pa, _graph_char_poly(G.adj))
+    return divides(char_poly(A), _graph_char_poly(G))
 
 
 @lru_cache(maxsize=64)
-def _graph_char_poly(adj: tuple[tuple[int, ...], ...]) -> IntPolynomial:
-    n = len(adj)
-    rows = tuple(tuple(1 if u in nbrs else 0 for u in range(n))
-                 for nbrs in adj)
-    return char_poly(rows)
+def _graph_char_poly(G) -> IntPolynomial:
+    return char_poly(G.adjacency_matrix())

@@ -1,0 +1,58 @@
+"""The public surface: exported names and the option strings of the CLI.
+
+These pins catch a public name or a flag that disappears in a refactor.
+"""
+
+from __future__ import annotations
+
+import argparse
+
+import perfcol
+from perfcol.cli import build_parser
+
+PUBLIC_NAMES = {
+    "ColorAdjacencyMatrix", "Coloring", "EnumerationResult", "Graph",
+    "IntPolynomial", "RationalVector", "SearchOutcome", "__version__",
+    "build_witness", "canonical_dedup", "canonical_form", "char_poly",
+    "class_ratios", "conjugate", "construct_biregular", "construct_regular",
+    "divides", "emit_dot", "emit_edge_list", "enumerate_cams",
+    "find_perfect_coloring", "generate_row_sum_matrices", "graph_from_json",
+    "graph_to_json", "is_color_connected", "is_consistent",
+    "is_weakly_symmetric", "minimal_class_sizes", "parse_graph",
+    "parse_matrix", "passes_filters", "platonic", "platonic_survey",
+    "sizes_for", "spectral_filter", "verify_coloring",
+}
+
+HELP = {"-h", "--help"}
+FORMATS = {"--json", "--text"}
+OUTPUT = {"-o", "--output"}
+
+CLI_OPTIONS = {
+    "enumerate": {"-m", "--colors", "-k", "--degree", "--threads",
+                  "--count-only"} | FORMATS | OUTPUT | HELP,
+    "filter": {"--matrix", "--graph"} | FORMATS | OUTPUT | HELP,
+    "witness": {"--matrix", "--dot"} | FORMATS | OUTPUT | HELP,
+    "search": {"--graph", "--matrix", "--all", "--dot"} | FORMATS | OUTPUT
+    | HELP,
+    "survey": {"--platonic", "-m", "--colors", "--threads", "--dot-dir"}
+    | FORMATS | OUTPUT | HELP,
+    "reproduce-paper": {"--threads"} | OUTPUT | HELP,
+}
+
+
+def test_public_names_are_pinned():
+    assert set(perfcol.__all__) == PUBLIC_NAMES
+    assert len(perfcol.__all__) == len(PUBLIC_NAMES)
+    for name in perfcol.__all__:
+        assert hasattr(perfcol, name), name
+
+
+def test_cli_option_strings_are_pinned():
+    parser = build_parser()
+    (sub,) = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(CLI_OPTIONS)
+    for command, expected in CLI_OPTIONS.items():
+        options = {opt for action in sub.choices[command]._actions
+                   for opt in action.option_strings}
+        assert options == expected, command

@@ -73,10 +73,19 @@ def test_parse_matrix_accepts_compact_and_json():
 
 
 @pytest.mark.parametrize("text", ["", "[[0,3],[1,2]", "3", "[[0,3],[1,2.5]]",
-                                  '{"a": 1}', "[[0,3],[1,-2]]"])
+                                  '{"a": 1}', "[[0,3],[1,-2]]",
+                                  "[[true,2],[1,2]]"])
 def test_parse_matrix_rejects(text):
     with pytest.raises(ValueError):
         parse_matrix(text)
+
+
+@pytest.mark.parametrize("fn", [is_weakly_symmetric, is_color_connected,
+                                is_consistent, class_ratios])
+@pytest.mark.parametrize("ragged", [[[1, 2]], [[0, 3], [1, 2, 0]]])
+def test_public_functions_reject_non_square(fn, ragged):
+    with pytest.raises(ValueError, match="square"):
+        fn(ragged)
 
 
 def test_parse_round_trip():

@@ -69,6 +69,15 @@ def test_missing_subcommand_is_usage_error():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["x", "-3", "0"])
+def test_bad_threads_environment_is_domain_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("PERFCOL_THREADS", value)
+    code, out, err = run(capsys, "enumerate", "-m", "2", "-k", "3")
+    assert code == 1 and out == ""
+    assert err == ("error: PERFCOL_THREADS must be a positive integer, "
+                   f"got {value!r}\n")
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, "enumerate", "-m", "2", "-k", "3",
@@ -95,6 +104,14 @@ def test_filter_invalid_matrix_still_reports(capsys):
     doc = json.loads(out)
     assert not doc["weakly_symmetric"]
     assert doc["ratios"] is None and not doc["passes_filters"]
+
+
+def test_filter_requires_a_common_row_sum(capsys):
+    code, out, _ = run(capsys, "filter", "--matrix", "[[0,2],[1,2]]")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["row_sum"] is None
+    assert doc["passes_filters"] is False
 
 
 def test_filter_with_graph(capsys):
@@ -202,6 +219,20 @@ def test_search_reads_json_graph_file(capsys, tmp_path):
     code, out, _ = run(capsys, "search", "--graph", str(path),
                        "--matrix", "[[1,2],[2,1]]", "--all")
     assert code == 0 and json.loads(out)["labeled_count"] == 6
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": "a", "edges": []},
+    {"n": 3, "edges": [0]},
+    {"n": 3, "edges": [[0, 1, 2]]},
+])
+def test_search_malformed_json_graph_is_domain_error(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "search", "--graph", str(path),
+                         "--matrix", "[[0,3],[1,2]]")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_search_missing_graph_file(capsys):

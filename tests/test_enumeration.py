@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import permutations
 from math import comb
 
@@ -64,6 +66,10 @@ def test_passes_filters_examples():
     assert not passes_filters(((0, 3), (0, 3)))
     # connectivity failure
     assert not passes_filters(((3, 0), (0, 3)))
+    # valid in every other respect, but the row sums differ
+    assert not passes_filters(((0, 2), (1, 2)))
+    with pytest.raises(ValueError, match="square"):
+        passes_filters(((0, 3), (1, 2, 0)))
 
 
 def test_passes_filters_conditions_hold_for_survivors():
@@ -168,6 +174,16 @@ def test_enumerate_raw_count_matches_stream():
 def test_enumerate_survivors_are_canonical():
     for a in enumerate_cams(3, 5).survivors:
         assert canonical_form(a.entries) == a
+
+
+def test_enumerate_five_colors_degree_three_is_pinned():
+    # first step past the validated range; the digest is of the sorted
+    # survivor list as computed before the scan and dedup were refactored
+    survivors = enumerate_cams(5, 3).survivors
+    doc = json.dumps([[list(row) for row in a.entries] for a in survivors])
+    assert len(survivors) == 247
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "70eab0eaa2f6d47bf753f546307ba45581b50d245f1c036b9e63db6e4336a744")
 
 
 def test_enumerate_threaded_matches_single():

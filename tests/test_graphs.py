@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perfcol.cam import parse_matrix
 from perfcol.graphs import (
     Coloring,
     Graph,
@@ -420,3 +421,65 @@ def test_graph_from_json_rejects_malformed():
         graph_from_json({"vertices": 3})
     with pytest.raises(ValueError):
         graph_from_json("[1, 2]")
+
+
+@pytest.mark.parametrize("doc,problem", [
+    ({"n": "a", "edges": []}, "'n' must be a nonnegative integer"),
+    ({"n": True, "edges": []}, "'n' must be a nonnegative integer"),
+    ({"n": -1, "edges": []}, "'n' must be a nonnegative integer"),
+    ({"n": 3, "edges": 5}, "'edges' must be an array"),
+    ({"n": 3, "edges": [0]}, "edge 0 is not a pair"),
+    ({"n": 3, "edges": [[0, 1], [0, 1, 2]]}, "edge 1 is not a pair"),
+    ({"n": 3, "edges": [[0, "1"]]}, "edge 0 is not a pair"),
+    ({"n": 3, "edges": [[0, False]]}, "edge 0 is not a pair"),
+])
+def test_graph_from_json_names_the_shape_problem(doc, problem):
+    with pytest.raises(ValueError, match=problem):
+        graph_from_json(doc)
+    with pytest.raises(ValueError, match=problem):
+        graph_from_json(json.dumps(doc))
+
+
+def test_graph_from_json_rejects_deep_nesting():
+    with pytest.raises(ValueError):
+        graph_from_json("[" * 100_000)
+
+
+# Integers come from a small range: a huge vertex count is a resource
+# limit (one adjacency row per vertex), not malformed input, and stays
+# out of scope here.  Text tokens are at most three characters for the
+# same reason, since parse_graph reads its vertex count from text.
+SMALL_INTS = st.integers(min_value=-3, max_value=12)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | SMALL_INTS | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+GRAPH_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {"n": JSON_VALUES, "edges": st.lists(JSON_VALUES, max_size=5)})
+TOKENS = SMALL_INTS.map(str) | st.text(max_size=3)
+EDGE_LIST_TEXT = st.lists(st.lists(TOKENS, max_size=3).map(" ".join),
+                          max_size=6).map("\n".join)
+
+
+def _only_value_errors(parse, arg):
+    try:
+        parse(arg)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=GRAPH_DOCS, text=st.text(max_size=20))
+def test_parsers_raise_only_value_error_on_json(doc, text):
+    for arg in (json.dumps(doc), text):
+        _only_value_errors(parse_matrix, arg)
+        _only_value_errors(graph_from_json, arg)
+    _only_value_errors(graph_from_json, doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=EDGE_LIST_TEXT)
+def test_parse_graph_raises_only_value_error(text):
+    _only_value_errors(parse_graph, text)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb, log10
 from pathlib import Path
 
 from .cam import (
@@ -168,10 +169,19 @@ def _emit(doc: str, args) -> None:
         sys.stdout.write(doc)
 
 
-def _range_notice(m: int | None, k: int | None) -> None:
+def _range_notice(m: int | None, k: int | None, cost: str = "") -> None:
     if (m is not None and m > 4) or (k is not None and k > 5):
         print("note: outside the validated range (m <= 4, k <= 5); "
-              "results are unvalidated", file=sys.stderr)
+              "results are unvalidated" + cost, file=sys.stderr)
+
+
+def _scan_cost(m: int, k: int) -> str:
+    """The size of the row-sum space, binom(k+m-1, m-1)^m, exact while
+    it is short enough to print."""
+    rows = comb(k + m - 1, m - 1)
+    digits = m * log10(rows)
+    size = str(rows ** m) if digits < 30 else f"about 10^{digits:.0f}"
+    return f"; the scan covers a row-sum space of {size} matrices"
 
 
 def _load_graph(source: str):
@@ -194,7 +204,8 @@ def _matrix_line(A) -> str:
 # ------------------------------------------------------------- subcommands
 
 def cmd_enumerate(args) -> int:
-    _range_notice(args.colors, args.degree)
+    _range_notice(args.colors, args.degree,
+                  _scan_cost(args.colors, args.degree))
     result = enumerate_cams(args.colors, args.degree, threads=args.threads)
     if args.count_only:
         doc = f"{len(result.survivors)}\n"

@@ -14,14 +14,17 @@ exactly which of the first i entries of row i must vanish, so the scan
 draws row i from a precomputed bucket of compositions with that leading
 zero pattern.  Only the weakly symmetric matrices, a small fraction of
 the space, ever reach the remaining filters.
+
+Cache policy: memoize results keyed by their public arguments (here
+enumerate_cams per (m, k)), never per-call tables such as the
+compositions and their zero-pattern buckets, which each scan rebuilds.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import chain, groupby, permutations, product
 from math import comb
 from multiprocessing import Pool
 
@@ -50,7 +53,6 @@ class EnumerationResult:
     survivors: tuple[ColorAdjacencyMatrix, ...]
 
 
-@lru_cache(maxsize=None)
 def _compositions(k: int, m: int) -> tuple[tuple[int, ...], ...]:
     """All m-tuples of nonnegative integers summing to k, lexicographic."""
     return tuple(c for c in product(range(k + 1), repeat=m) if sum(c) == k)
@@ -95,29 +97,22 @@ def _survivor_ratios(a) -> tuple[int, ...] | None:
 def canonical_form(A) -> ColorAdjacencyMatrix:
     """The canonical representative of A's conjugacy class.
 
-    Among all conjugates whose permuted ratio vector stays nondecreasing
-    (at least the ratio-sorting permutations qualify), the row-major
-    lexicographically smallest is the representative.
+    Among all conjugates whose permuted ratio vector stays nondecreasing,
+    the row-major lexicographically smallest is the representative.
+    Those conjugates are walked directly: sort the colors by ratio, then
+    permute the colors freely inside each block of tied ratios.
     """
     a = entries_of(A)
     return ColorAdjacencyMatrix(_canonical_key(a, _ratios(a)))
 
 
 def _canonical_key(a, ratios) -> tuple[tuple[int, ...], ...]:
-    m = len(a)
-    best = None
-    for perm in permutations(range(m)):
-        ok = True
-        for i in range(m - 1):
-            if ratios[perm[i]] > ratios[perm[i + 1]]:
-                ok = False
-                break
-        if not ok:
-            continue
-        b = tuple(tuple(a[perm[i]][perm[j]] for j in range(m)) for i in range(m))
-        if best is None or b < best:
-            best = b
-    return best
+    order = sorted(range(len(a)), key=ratios.__getitem__)
+    blocks = [tuple(g) for _, g in groupby(order, key=ratios.__getitem__)]
+    perms = (tuple(chain.from_iterable(p))
+             for p in product(*map(permutations, blocks)))
+    return min(tuple(tuple(a[i][j] for j in perm) for i in perm)
+               for perm in perms)
 
 
 def canonical_dedup(candidates) -> list[ColorAdjacencyMatrix]:
@@ -150,7 +145,7 @@ def enumerate_cams(m: int, k: int, threads: int | None = None) -> EnumerationRes
         threads = _env_threads()
     if (m, k) in _memo:
         return _memo[(m, k)]
-    count = len(_compositions(k, m))
+    count = comb(k + m - 1, m - 1)
     if threads > 1 and count >= 2 * threads:
         bounds = [i * count // threads for i in range(threads + 1)]
         jobs = [(m, k, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
@@ -158,8 +153,7 @@ def enumerate_cams(m: int, k: int, threads: int | None = None) -> EnumerationRes
             candidates = chain.from_iterable(pool.starmap(_scan_range, jobs))
     else:
         candidates = _scan_range(m, k, 0, count)
-    result = EnumerationResult(m, k, comb(k + m - 1, m - 1) ** m,
-                               _dedup(candidates))
+    result = EnumerationResult(m, k, count ** m, _dedup(candidates))
     _memo[(m, k)] = result
     return result
 
@@ -179,11 +173,9 @@ def _env_threads() -> int:
     return threads
 
 
-@lru_cache(maxsize=None)
-def _zero_pattern_buckets(m: int, k: int):
-    """For each row index i >= 1, compositions keyed by which of their
-    first i entries are zero (a bitmask over positions 0..i-1)."""
-    comps = _compositions(k, m)
+def _zero_pattern_buckets(comps, m: int):
+    """For each row index i >= 1, the compositions comps keyed by which
+    of their first i entries are zero (a bitmask over positions 0..i-1)."""
     table: list[dict[int, tuple] | None] = [None]
     for i in range(1, m):
         buckets: dict[int, list] = {}
@@ -206,7 +198,7 @@ def _scan_range(m: int, k: int, lo: int, hi: int):
     entries already placed above it in column i.
     """
     comps = _compositions(k, m)
-    buckets = _zero_pattern_buckets(m, k)
+    buckets = _zero_pattern_buckets(comps, m)
     out = []
     rows: list[tuple[int, ...]] = [()] * m
 

@@ -11,8 +11,9 @@ adjacency matrix:
     p and q, built greedily by joining u_a to w_{(a p + b) mod s} for
     b = 0 .. p-1, which exists whenever p <= s, q <= r and p r = q s.
 
-build_witness glues these per color class and class pair, on the
-smallest class sizes compatible with the matrix, and hands back one
+build_witness glues the raw edge lists of these constructions per color
+class and class pair, on the smallest class sizes compatible with the
+matrix, validates the union once as a single Graph, and hands back one
 connected component together with its coloring.
 """
 
@@ -55,21 +56,16 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        seen = set()
+        """The graph with these edges; loops and repeated edges are
+        rejected by the constructor's checks."""
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             u, v = index(u), index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {u}-{v} out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {u}-{v}")
-            seen.add(key)
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(n, tuple(tuple(sorted(s)) for s in nbrs))
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return cls(n, nbrs)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, in lexicographic order."""
@@ -231,15 +227,15 @@ def construct_regular(n: int, k: int) -> Graph:
         raise ValueError(f"no {k}-regular graph on {n} vertices: need n >= k+1")
     if (n * k) % 2:
         raise ValueError(f"no {k}-regular graph on {n} vertices: n*k is odd")
-    offsets = list(range(1, k // 2 + 1))
+    return Graph.from_edges(n, _circulant_edges(n, k))
+
+
+def _circulant_edges(n: int, k: int) -> list[tuple[int, int]]:
+    """The edges of construct_regular(n, k), arguments unchecked."""
+    edges = [(v, (v + o) % n) for o in range(1, k // 2 + 1) for v in range(n)]
     if k % 2:
-        offsets.append(n // 2)
-    edges = set()
-    for v in range(n):
-        for o in offsets:
-            u = (v + o) % n
-            edges.add((min(v, u), max(v, u)))
-    return Graph.from_edges(n, sorted(edges))
+        edges += [(v, v + n // 2) for v in range(n // 2)]
+    return edges
 
 
 def construct_biregular(p: int, q: int, r: int, s: int) -> Graph:
@@ -273,8 +269,14 @@ def construct_biregular(p: int, q: int, r: int, s: int) -> Graph:
         raise ValueError(f"degree p={p} exceeds opposite part size s={s}")
     if q > r:
         raise ValueError(f"degree q={q} exceeds opposite part size r={r}")
-    edges = [(a, r + (a * p + b) % s) for a in range(r) for b in range(p)]
+    edges = [(u, r + w) for u, w in _biregular_edges(p, r, s)]
     return Graph.from_edges(r + s, edges)
+
+
+def _biregular_edges(p: int, r: int, s: int) -> list[tuple[int, int]]:
+    """The edges of construct_biregular(p, p r / s, r, s) as (u, w) pairs
+    of indices into the first and the second part, arguments unchecked."""
+    return [(a, (a * p + b) % s) for a in range(r) for b in range(p)]
 
 
 def minimal_class_sizes(A) -> tuple[int, ...]:
@@ -321,17 +323,11 @@ def build_witness(A) -> tuple[Graph, Coloring]:
         offsets.append(offsets[-1] + size)
     edges = []
     for i in range(m):
-        inner = construct_regular(sizes[i], a[i][i])
-        edges += [(offsets[i] + u, offsets[i] + v) for u, v in inner.edges()]
-    for i in range(m):
+        oi = offsets[i]
+        edges += [(oi + u, oi + v) for u, v in _circulant_edges(sizes[i], a[i][i])]
         for j in range(i + 1, m):
-            if a[i][j]:
-                between = construct_biregular(a[i][j], a[j][i], sizes[i], sizes[j])
-                for u, v in between.edges():
-                    # first part is 0..sizes[i]-1, second the rest
-                    pu = offsets[i] + u if u < sizes[i] else offsets[j] + u - sizes[i]
-                    pv = offsets[i] + v if v < sizes[i] else offsets[j] + v - sizes[i]
-                    edges.append((pu, pv))
+            edges += [(oi + u, offsets[j] + w)
+                      for u, w in _biregular_edges(a[i][j], sizes[i], sizes[j])]
     graph = Graph.from_edges(offsets[-1], edges)
     colors = tuple(i + 1 for i in range(m) for _ in range(sizes[i]))
     if not graph.is_connected():

@@ -87,46 +87,56 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
     used = [0] * m
     found = 0
     first: tuple[int, ...] | None = None
-
-    def descend(idx: int) -> bool:
-        """Color order[idx] onward; True aborts the whole search."""
-        nonlocal found, first
+    idx = 0
+    start = 0  # the first color index to try at depth idx
+    while True:
         if idx == n:
             found += 1
             if first is None:
                 first = tuple(color)
-            return not counting
-        v = order[idx]
-        mine = counts[v]
-        for c in range(1, m + 1):
-            i = c - 1
-            if used[i] == quota[i]:
-                continue
-            row = a[i]
-            if any(mine[j] > row[j] for j in range(m)):
-                continue
-            feasible = True
-            placed = 0
-            for u in adj[v]:
-                counts[u][i] += 1
-                placed += 1
-                cu = color[u]
-                if cu and counts[u][i] > a[cu - 1][i]:
-                    feasible = False
+            if not counting:
+                break
+        else:
+            v = order[idx]
+            mine = counts[v]
+            for i in range(start, m):
+                if used[i] == quota[i]:
+                    continue
+                row = a[i]
+                if any(mine[j] > row[j] for j in range(m)):
+                    continue
+                feasible = True
+                placed = 0
+                for u in adj[v]:
+                    counts[u][i] += 1
+                    placed += 1
+                    cu = color[u]
+                    if cu and counts[u][i] > a[cu - 1][i]:
+                        feasible = False
+                        break
+                if feasible:
                     break
-            if feasible:
-                color[v] = c
+                for u in adj[v][:placed]:
+                    counts[u][i] -= 1
+            else:
+                i = m
+            if i < m:
+                color[v] = i + 1
                 used[i] += 1
-                stop = descend(idx + 1)
-                used[i] -= 1
-                color[v] = 0
-                if stop:
-                    return True
-            for u in adj[v][:placed]:
-                counts[u][i] -= 1
-        return False
-
-    descend(0)
+                idx += 1
+                start = 0
+                continue
+        if idx == 0:
+            break
+        # backtrack: undo the color placed one level up, try the next one
+        idx -= 1
+        v = order[idx]
+        i = color[v] - 1
+        color[v] = 0
+        used[i] -= 1
+        for u in adj[v]:
+            counts[u][i] -= 1
+        start = i + 1
     witness = Coloring(first, m) if first is not None else None
     return SearchOutcome(found > 0, witness, found if counting else None)
 

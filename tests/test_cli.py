@@ -221,6 +221,16 @@ def test_search_reads_json_graph_file(capsys, tmp_path):
     assert code == 0 and json.loads(out)["labeled_count"] == 6
 
 
+def test_search_large_graph_file(capsys, tmp_path):
+    # a 3000-cycle: one search level per vertex, past the recursion limit
+    path = tmp_path / "c3000.json"
+    path.write_text(json.dumps({
+        "n": 3000, "edges": [[v, (v + 1) % 3000] for v in range(3000)]}))
+    code, out, _ = run(capsys, "search", "--graph", str(path),
+                       "--matrix", "[[2]]")
+    assert code == 0 and json.loads(out)["realizable"] is True
+
+
 @pytest.mark.parametrize("doc", [
     {"n": "a", "edges": []},
     {"n": 3, "edges": [0]},
@@ -295,6 +305,14 @@ def test_range_notice_on_stderr(capsys):
     assert "unvalidated" in err
     code, _, err = run(capsys, "filter", "--matrix", "[[0,5],[1,4]]")
     assert code == 0 and err == ""
+
+
+def test_enumerate_notice_gives_the_scan_size(capsys):
+    # binom(1+5-1, 5-1)^5 = 5^5 row-sum matrices, stated before the scan
+    code, out, err = run(capsys, "enumerate", "-m", "5", "-k", "1",
+                         "--count-only")
+    assert (code, out) == (0, "0\n")
+    assert "unvalidated" in err and "3125" in err
 
 
 # -------------------------------------------------------- reproduce-paper

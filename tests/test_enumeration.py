@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from itertools import permutations
 from math import comb
 
@@ -105,6 +106,12 @@ def test_canonical_form_is_conjugation_invariant():
         want = canonical_form(a.entries)
         for perm in permutations(range(3)):
             assert canonical_form(conjugate(a.entries, perm).entries) == want
+    # at (5,3) blocks of tied ratios span up to all five colors
+    rng = random.Random(5)
+    for a in enumerate_cams(5, 3).survivors:
+        for _ in range(3):
+            perm = tuple(rng.sample(range(5), 5))
+            assert canonical_form(conjugate(a.entries, perm).entries) == a
 
 
 def test_canonical_dedup_examples():
@@ -184,6 +191,16 @@ def test_enumerate_five_colors_degree_three_is_pinned():
     assert len(survivors) == 247
     assert hashlib.sha256(doc.encode()).hexdigest() == (
         "70eab0eaa2f6d47bf753f546307ba45581b50d245f1c036b9e63db6e4336a744")
+
+
+def test_enumerate_four_colors_degree_five_is_pinned():
+    # the largest case of the validated range, digest in the same form,
+    # computed before the canonical key walked only tied-ratio blocks
+    survivors = enumerate_cams(4, 5).survivors
+    doc = json.dumps([[list(row) for row in a.entries] for a in survivors])
+    assert len(survivors) == 2042
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "1728ad04a8f2bdd3d9cac4230d412339c36a7b0bd2f80ac50ec519e4a346099c")
 
 
 def test_enumerate_threaded_matches_single():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfcol.cam import parse_matrix
+from perfcol.enumeration import enumerate_cams
 from perfcol.graphs import (
     Coloring,
     Graph,
@@ -52,7 +54,7 @@ def test_graph_from_edges_rejects():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError, match="loop"):
         Graph.from_edges(2, [(1, 1)])
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate neighbor at vertex 0"):
         Graph.from_edges(2, [(0, 1), (1, 0)])
 
 
@@ -292,6 +294,20 @@ def test_build_witness_round_trip_sample():
         assert g.is_connected()
         back = verify_coloring(g, coloring)
         assert back is not None and back.entries == a, a
+
+
+def test_build_witness_is_pinned():
+    # digest of (n, edges, assignment) over all (3,5) and (4,3) survivors,
+    # computed while witnesses were still glued from per-block Graphs
+    docs = []
+    for m, k in ((3, 5), (4, 3)):
+        for a in enumerate_cams(m, k).survivors:
+            g, coloring = build_witness(a)
+            docs.append([g.n, [list(e) for e in g.edges()],
+                         list(coloring.assignment)])
+    assert len(docs) == 225
+    assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == (
+        "005c57b3ab55ce727fea6c14a79ebeefbb9b7418c954d276c30a628f31330af6")
 
 
 def test_build_witness_keeps_class_block_order():

@@ -4,7 +4,13 @@ import pytest
 
 from perfcol.cam import sizes_for
 from perfcol.enumeration import canonical_form, enumerate_cams
-from perfcol.graphs import Graph, minimal_class_sizes, platonic, verify_coloring
+from perfcol.graphs import (
+    Graph,
+    construct_regular,
+    minimal_class_sizes,
+    platonic,
+    verify_coloring,
+)
 from perfcol.search import SearchOutcome, find_perfect_coloring, platonic_survey
 
 from oracles import all_colorings_brute_force
@@ -47,6 +53,19 @@ def test_cycle_graph_count():
     assert outcome.realizable
     assert outcome.labeled_count == len(
         all_colorings_brute_force(c6, ((0, 2), (1, 1))))
+
+
+def test_search_depth_is_not_limited_by_recursion():
+    # one search level per vertex: 3000 vertices once overran the
+    # interpreter's recursion limit
+    cubic = construct_regular(3000, 3)
+    outcome = find_perfect_coloring(cubic, ((3,),))
+    assert outcome.realizable and outcome.witness.assignment == (1,) * 3000
+    cycle = construct_regular(3000, 2)
+    assert find_perfect_coloring(cycle, ((2,),)).realizable
+    outcome = find_perfect_coloring(cycle, ((0, 2), (2, 0)), mode="count_all")
+    assert outcome.labeled_count == 2
+    assert verify_coloring(cycle, outcome.witness).entries == ((0, 2), (2, 0))
 
 
 def test_unrealizable_when_sizes_do_not_divide():

@@ -9,15 +9,21 @@ meaning they describe the same coloring with the colors relabeled, are
 then identified, keeping the lexicographically smallest conjugate.
 
 The full row-sum space is never walked.  Rows are ordered compositions
-of k; once the rows above row i are fixed, weak symmetry prescribes
-exactly which of the first i entries of row i must vanish, so the scan
-draws row i from a precomputed bucket of compositions with that leading
-zero pattern.  Only the weakly symmetric matrices, a small fraction of
-the space, ever reach the remaining filters.
+of k.  For j < i every survivor has a_ij = a_ji = 0 (weak symmetry) or
+0 < a_ij <= a_ji (from a_ij v_i = a_ji v_j with v_j <= v_i), so once the
+rows above row i are fixed, the first i entries of row i range over a
+box, and the scan looks each prefix in that box up in a table of the
+compositions that start with it.
+
+Rows are drawn in lexicographic order, so the leaves arrive sorted, and
+a leaf is kept only if it is the smallest of its ratio-order-keeping
+conjugates.  The representative of a class passes every filter and the
+prefix bound prunes only matrices that fail one, so each class is
+emitted exactly once, without a set of keys or a sort.
 
 Cache policy: memoize results keyed by their public arguments (here
 enumerate_cams per (m, k)), never per-call tables such as the
-compositions and their zero-pattern buckets, which each scan rebuilds.
+compositions and their prefix table, which each scan rebuilds.
 """
 
 from __future__ import annotations
@@ -62,9 +68,9 @@ def generate_row_sum_matrices(m: int, k: int):
     """Yield every m x m matrix with all row sums k, in lexicographic order.
 
     The stream has binom(k+m-1, m-1)^m elements.  enumerate_cams does
-    not consume this stream (it fuses the weak symmetry filter into the
-    row choice instead), but the filtered composition of the two must
-    and does agree with it.
+    not consume this stream (it bounds each row by the rows above it
+    instead), but canonical_dedup of the filtered stream must and does
+    agree with it.
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
@@ -103,16 +109,18 @@ def canonical_form(A) -> ColorAdjacencyMatrix:
     permute the colors freely inside each block of tied ratios.
     """
     a = entries_of(A)
-    return ColorAdjacencyMatrix(_canonical_key(a, _ratios(a)))
+    return ColorAdjacencyMatrix(min(_conjugates(a, _ratios(a))))
 
 
-def _canonical_key(a, ratios) -> tuple[tuple[int, ...], ...]:
+def _conjugates(a, ratios):
+    """The conjugates of a whose ratios stay nondecreasing; when a's own
+    ratios are sorted, a itself comes first."""
     order = sorted(range(len(a)), key=ratios.__getitem__)
     blocks = [tuple(g) for _, g in groupby(order, key=ratios.__getitem__)]
     perms = (tuple(chain.from_iterable(p))
              for p in product(*map(permutations, blocks)))
-    return min(tuple(tuple(a[i][j] for j in perm) for i in perm)
-               for perm in perms)
+    return (tuple(tuple(a[i][j] for j in perm) for i in perm)
+            for perm in perms)
 
 
 def canonical_dedup(candidates) -> list[ColorAdjacencyMatrix]:
@@ -121,13 +129,9 @@ def canonical_dedup(candidates) -> list[ColorAdjacencyMatrix]:
     The input matrices must pass passes_filters (their ratios must at
     least be defined).
     """
-    return list(_dedup((a, _ratios(a)) for a in map(entries_of, candidates)))
-
-
-def _dedup(pairs) -> tuple[ColorAdjacencyMatrix, ...]:
-    """Canonical representatives of (entries, ratios) pairs, sorted."""
-    keys = {_canonical_key(a, ratios) for a, ratios in pairs}
-    return tuple(ColorAdjacencyMatrix(key) for key in sorted(keys))
+    keys = {min(_conjugates(a, _ratios(a)))
+            for a in map(entries_of, candidates)}
+    return [ColorAdjacencyMatrix(key) for key in sorted(keys)]
 
 
 def enumerate_cams(m: int, k: int, threads: int | None = None) -> EnumerationResult:
@@ -150,10 +154,11 @@ def enumerate_cams(m: int, k: int, threads: int | None = None) -> EnumerationRes
         bounds = [i * count // threads for i in range(threads + 1)]
         jobs = [(m, k, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         with Pool(processes=len(jobs)) as pool:
-            candidates = chain.from_iterable(pool.starmap(_scan_range, jobs))
+            entries = chain.from_iterable(pool.starmap(_scan_range, jobs))
     else:
-        candidates = _scan_range(m, k, 0, count)
-    result = EnumerationResult(m, k, count ** m, _dedup(candidates))
+        entries = _scan_range(m, k, 0, count)
+    result = EnumerationResult(
+        m, k, count ** m, tuple(map(ColorAdjacencyMatrix, entries)))
     _memo[(m, k)] = result
     return result
 
@@ -173,32 +178,20 @@ def _env_threads() -> int:
     return threads
 
 
-def _zero_pattern_buckets(comps, m: int):
-    """For each row index i >= 1, the compositions comps keyed by which
-    of their first i entries are zero (a bitmask over positions 0..i-1)."""
-    table: list[dict[int, tuple] | None] = [None]
-    for i in range(1, m):
-        buckets: dict[int, list] = {}
-        for c in comps:
-            mask = 0
-            for j in range(i):
-                if c[j] == 0:
-                    mask |= 1 << j
-            buckets.setdefault(mask, []).append(c)
-        table.append({mask: tuple(rows) for mask, rows in buckets.items()})
-    return table
-
-
 def _scan_range(m: int, k: int, lo: int, hi: int):
-    """Filtered candidates whose first row index lies in [lo, hi).
+    """Class representatives whose first row index lies in [lo, hi).
 
-    Returns (entries, ratios) pairs for every matrix in that slice that
-    passes all four filters.  Weak symmetry holds by construction: row i
-    is drawn from the bucket whose leading zero pattern matches the
-    entries already placed above it in column i.
+    Returns, in lexicographic order, the entries of every matrix in that
+    slice that passes all four filters and is the smallest of its
+    ratio-order-keeping conjugates.  Row i is drawn from the compositions
+    whose first i entries satisfy the prefix bound set by column i of the
+    rows above it.
     """
     comps = _compositions(k, m)
-    buckets = _zero_pattern_buckets(comps, m)
+    by_prefix: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for c in comps:
+        for i in range(1, m):
+            by_prefix.setdefault(c[:i], []).append(c)
     out = []
     rows: list[tuple[int, ...]] = [()] * m
 
@@ -206,16 +199,15 @@ def _scan_range(m: int, k: int, lo: int, hi: int):
         if i == m:
             a = tuple(rows)
             ratios = _survivor_ratios(a)
-            if ratios is not None:
-                out.append((a, ratios))
+            if ratios is not None and all(
+                    c >= a for c in _conjugates(a, ratios)):
+                out.append(a)
             return
-        mask = 0
-        for j in range(i):
-            if rows[j][i] == 0:
-                mask |= 1 << j
-        for c in buckets[i].get(mask, ()):
-            rows[i] = c
-            descend(i + 1)
+        box = (range(1, row[i] + 1) if row[i] else (0,) for row in rows[:i])
+        for prefix in product(*box):
+            for c in by_prefix.get(prefix, ()):
+                rows[i] = c
+                descend(i + 1)
 
     for first in range(lo, hi):
         rows[0] = comps[first]

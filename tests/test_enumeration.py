@@ -165,7 +165,8 @@ def test_enumerate_counts_against_published_table():
 
 
 def test_enumerate_agrees_with_naive_pipeline():
-    for m, k in ((2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)):
+    # (3, 5) is where the prefix bound a_ij <= a_ji cuts the most
+    for m, k in ((2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5), (4, 3)):
         naive = canonical_dedup(
             a for a in generate_row_sum_matrices(m, k) if passes_filters(a))
         fused = list(enumerate_cams(m, k).survivors)
@@ -203,15 +204,27 @@ def test_enumerate_four_colors_degree_five_is_pinned():
         "1728ad04a8f2bdd3d9cac4230d412339c36a7b0bd2f80ac50ec519e4a346099c")
 
 
+def test_enumerate_five_colors_degree_four_is_pinned():
+    # digest in the same form, computed before the scan bounded each row
+    # by the rows above it and emitted class representatives directly
+    survivors = enumerate_cams(5, 4).survivors
+    doc = json.dumps([[list(row) for row in a.entries] for a in survivors])
+    assert len(survivors) == 3996
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "c7434f0f05347559c6c93b8837a878e0dfabd619bdbb65ee39911cfcfdbcbb7b")
+
+
 def test_enumerate_threaded_matches_single():
+    # the survivor order comes from concatenating the shards, not a sort
     import perfcol.enumeration as enumeration
-    single = enumerate_cams(3, 4)
-    enumeration._memo.pop((3, 4), None)
-    try:
-        threaded = enumerate_cams(3, 4, threads=3)
-    finally:
-        enumeration._memo[(3, 4)] = single
-    assert threaded == single
+    for m, k, threads in ((3, 4, 3), (4, 3, 2)):
+        single = enumerate_cams(m, k)
+        enumeration._memo.pop((m, k), None)
+        try:
+            threaded = enumerate_cams(m, k, threads=threads)
+        finally:
+            enumeration._memo[(m, k)] = single
+        assert threaded == single, (m, k)
 
 
 def test_enumerate_recomputation_is_deterministic():

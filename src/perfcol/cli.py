@@ -322,8 +322,7 @@ def cmd_search(args) -> int:
 def cmd_survey(args) -> int:
     _range_notice(args.colors, None)
     graph = platonic(args.platonic)
-    enumerate_cams(args.colors, graph.regularity(), threads=args.threads)
-    results = platonic_survey(args.platonic, args.colors)
+    results = platonic_survey(args.platonic, args.colors, threads=args.threads)
     if args.dot_dir:
         directory = Path(args.dot_dir)
         directory.mkdir(parents=True, exist_ok=True)
@@ -380,7 +379,8 @@ def cmd_reproduce(args) -> int:
                                 ("three-color list", three_color_matrices(), 3)):
         for k_text, matrices in sorted(published.items()):
             k = int(k_text)
-            ours = {A.entries for A in enumerate_cams(m, k).survivors}
+            ours = {A.entries for A in
+                    enumerate_cams(m, k, threads=args.threads).survivors}
             theirs = {canonical_form(rows).entries for rows in matrices}
             record(f"{label} k={k}: set match up to conjugacy "
                    f"({len(matrices)} matrices)",
@@ -389,7 +389,7 @@ def cmd_reproduce(args) -> int:
     candidates = platonic_candidates()
     for solid in SOLIDS:
         for m_text, expected in sorted(candidates[solid].items()):
-            survey = platonic_survey(solid, int(m_text))
+            survey = platonic_survey(solid, int(m_text), threads=args.threads)
             ours = {A.entries: outcome.realizable for A, outcome in survey}
             theirs_all = {canonical_form(rows).entries
                           for rows in expected["candidates"]}

@@ -141,18 +141,18 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
     return SearchOutcome(found > 0, witness, found if counting else None)
 
 
-def platonic_survey(name: str, m: int):
+def platonic_survey(name: str, m: int, threads: int | None = None):
     """The full candidate pipeline for one Platonic graph and m colors.
 
     Enumerates all survivors for (m, degree of the solid), keeps those
     whose class sizes are integers on the solid's vertex count and whose
     characteristic polynomial divides the graph's, then decides
     realizability of each by search.  Returns (matrix, outcome) pairs in
-    the survivors' canonical order.
+    the survivors' canonical order.  threads is passed to enumerate_cams.
     """
     graph = platonic(name)
     degree = graph.regularity()
-    result = enumerate_cams(m, degree)
+    result = enumerate_cams(m, degree, threads=threads)
     survey: list[tuple[ColorAdjacencyMatrix, SearchOutcome]] = []
     for candidate in result.survivors:
         if sizes_for(candidate, graph.n) is None:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+from enum import IntEnum
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from perfcol.cam import (
     RationalVector,
     class_ratios,
     conjugate,
+    entries_of,
     is_color_connected,
     is_consistent,
     is_weakly_symmetric,
@@ -47,8 +50,34 @@ def test_matrix_rejects_malformed(bad):
 
 
 def test_matrix_rejects_non_integer_entries():
-    with pytest.raises(TypeError):
-        ColorAdjacencyMatrix([[0.5, 1], [1, 0.5]])
+    for bad in ([[0.5, 1], [1, 0.5]], [[0, 1], [1, 2.0]]):
+        with pytest.raises(TypeError):
+            ColorAdjacencyMatrix(bad)
+
+
+class Level(IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: ((0, 2), (1, 1)), ((0, 2), (1, 1))),
+    (lambda: [[0, 2], [1, 1]], ((0, 2), (1, 1))),
+    (lambda: [(0, 2), [1, 1]], ((0, 2), (1, 1))),
+    (lambda: ((x for x in row) for row in ((0, 2), (1, 1))),
+     ((0, 2), (1, 1))),
+    (lambda: [[False, True], [True, False]], ((0, 1), (1, 0))),
+    (lambda: np.array([[0, 2], [1, 1]], dtype=np.int64), ((0, 2), (1, 1))),
+    (lambda: [[Level.ZERO, Level.TWO], [1, Level.ONE]], ((0, 2), (1, 1))),
+    (lambda: (), ()),
+])
+def test_entries_of_normalizes_to_plain_int_tuples(make, expected):
+    rows = entries_of(make())
+    assert rows == expected
+    assert type(rows) is tuple
+    assert all(type(row) is tuple for row in rows)
+    assert all(type(x) is int for row in rows for x in row)
 
 
 def test_matrix_is_hashable():
@@ -81,8 +110,9 @@ def test_parse_matrix_rejects(text):
 
 
 @pytest.mark.parametrize("fn", [is_weakly_symmetric, is_color_connected,
-                                is_consistent, class_ratios])
-@pytest.mark.parametrize("ragged", [[[1, 2]], [[0, 3], [1, 2, 0]]])
+                                is_consistent, class_ratios, entries_of])
+@pytest.mark.parametrize("ragged", [[[1, 2]], [[0, 3], [1, 2, 0]],
+                                    [[True, 2], [3]]])
 def test_public_functions_reject_non_square(fn, ragged):
     with pytest.raises(ValueError, match="square"):
         fn(ragged)

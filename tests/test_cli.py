@@ -78,6 +78,17 @@ def test_bad_threads_environment_is_domain_error(capsys, monkeypatch, value):
                    f"got {value!r}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("survey", "--platonic", "tetrahedron", "--colors", "2"),
+    ("reproduce-paper",),
+])
+def test_threads_flag_overrides_bad_environment(capsys, monkeypatch, argv):
+    want = run(capsys, *argv, "--threads", "1")
+    assert want[0] == 0
+    monkeypatch.setenv("PERFCOL_THREADS", "x")
+    assert run(capsys, *argv, "--threads", "1") == want
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, "enumerate", "-m", "2", "-k", "3",

@@ -17,7 +17,10 @@ if three conditions hold:
 Consistency is what makes the color class sizes well defined: counting
 the edges between classes i and j in two ways gives a_ij v_i = a_ji v_j,
 so the sizes are determined up to scale by walking any spanning tree of
-the color graph.  All arithmetic here is exact integer arithmetic.
+the color graph.  All arithmetic here is exact integer arithmetic.  For
+weakly symmetric input the color graph is the graph of mutual pairs, so
+one walk (_potentials) assigns the sizes and decides connectivity and
+consistency together.
 
 Validation happens once, at the public boundary.  A public function
 normalizes its matrix argument with entries_of (which hands back the
@@ -66,8 +69,7 @@ class ColorAdjacencyMatrix:
     @property
     def row_sum(self) -> int | None:
         """The common row sum k if all rows agree, else None."""
-        sums = {sum(row) for row in self.entries}
-        return sums.pop() if len(sums) == 1 else None
+        return _row_sum(self.entries)
 
     def __str__(self) -> str:
         return json.dumps([list(row) for row in self.entries],
@@ -147,6 +149,12 @@ def conjugate(A, perm: Sequence[int]) -> ColorAdjacencyMatrix:
     )
 
 
+def _row_sum(a: Entries) -> int | None:
+    """The common row sum of a if all rows agree, else None."""
+    sums = set(map(sum, a))
+    return sums.pop() if len(sums) == 1 else None
+
+
 def is_weakly_symmetric(A) -> bool:
     """True iff a_ij = 0 exactly when a_ji = 0, for every pair i != j."""
     return _weakly_symmetric(entries_of(A))
@@ -184,48 +192,39 @@ def _color_connected(a: Entries) -> bool:
     return seen == (1 << m) - 1
 
 
-def _potentials(a: Entries) -> tuple[list[int], list[int]]:
-    """Assign v_i up to scale along a spanning forest, as integer fractions.
+def _potentials(a: Entries) -> tuple[list[int], list[int], int] | None:
+    """Assign v_i up to scale along a spanning forest, checking as it goes.
 
     Only pairs with a_ij and a_ji both positive carry a forced relation
-    a_ij v_i = a_ji v_j.  Walking those edges breadth-first from the
-    smallest color of each component gives v_i = num_i / den_i inside
-    every component of the mutual-support graph.
+    a_ij v_i = a_ji v_j.  Walking them breadth-first from the smallest
+    color of each component sets v_i = num_i / den_i (unreduced), and
+    checks instead each pair whose far end is set: the end dequeued
+    later sees the other set, so every pair is checked.  Returns None
+    at the first failed pair, else (num, den, components).
     """
     m = len(a)
     num = [0] * m
     den = [0] * m
+    components = 0
     for root in range(m):
         if num[root]:
             continue
+        components += 1
         num[root] = den[root] = 1
         queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
+        for u in queue:
             row = a[u]
+            nu, du = num[u], den[u]
             for w in range(m):
-                if num[w] == 0 and row[w] and a[w][u]:
-                    n2 = num[u] * row[w]
-                    d2 = den[u] * a[w][u]
-                    g = gcd(n2, d2)
-                    num[w] = n2 // g
-                    den[w] = d2 // g
-                    queue.append(w)
-    return num, den
-
-
-def _mutual_pairs_ok(a: Entries, num: list[int], den: list[int]) -> bool:
-    """Check a_ij v_i = a_ji v_j for every pair with both entries positive."""
-    m = len(a)
-    for i in range(m):
-        row = a[i]
-        for j in range(i + 1, m):
-            if row[j] and a[j][i]:
-                if row[j] * num[i] * den[j] != a[j][i] * num[j] * den[i]:
-                    return False
-    return True
+                if row[w] and a[w][u]:
+                    if num[w]:
+                        if row[w] * nu * den[w] != a[w][u] * num[w] * du:
+                            return None
+                    else:
+                        num[w] = nu * row[w]
+                        den[w] = du * a[w][u]
+                        queue.append(w)
+    return num, den, components
 
 
 def _reaches(a: Entries, src: int, dst: int) -> bool:
@@ -257,7 +256,7 @@ def is_consistent(A) -> bool:
     both directions positive are certified by the spanning-forest
     potentials: every non-tree step closes a fundamental cycle, and the
     telescoping product of the edge relations makes the two products
-    equal, so verifying each mutual pair against the potentials covers
+    equal; the potentials walk checks every mutual pair, so it covers
     them all.  A cycle containing a step with both directions zero has
     both products zero.  The remaining case is a one-sided step
     (a_uv > 0, a_vu = 0): such a step lies on a violating cycle exactly
@@ -275,23 +274,22 @@ def is_consistent(A) -> bool:
     for u in range(m):
         row = a[u]
         for v in range(m):
-            if u != v and row[v] and not a[v][u]:
-                if _reaches(a, v, u):
-                    return False
-    num, den = _potentials(a)
-    return _mutual_pairs_ok(a, num, den)
+            if u != v and row[v] and not a[v][u] and _reaches(a, v, u):
+                return False
+    return _potentials(a) is not None
 
 
 def _ratios_or_none(a: Entries) -> tuple[int, ...] | None:
-    """Reduced ratio vector for a weakly symmetric, color-connected matrix.
+    """Reduced ratio vector of a weakly symmetric matrix.
 
-    Returns None when the matrix is inconsistent.  One breadth-first
-    pass assigns potentials, then every mutual pair is verified, which
-    for weakly symmetric input is the whole consistency check.
+    Returns None when the matrix is disconnected or inconsistent.  For
+    weakly symmetric input the mutual pairs are the edges of the color
+    graph, so the one potentials walk decides both conditions.
     """
-    num, den = _potentials(a)
-    if not _mutual_pairs_ok(a, num, den):
+    walk = _potentials(a)
+    if walk is None or walk[2] != 1:
         return None
+    num, den, _ = walk
     common = lcm(*den)
     v = [n * (common // d) for n, d in zip(num, den)]
     g = gcd(*v)
@@ -311,9 +309,9 @@ def _ratios(a: Entries) -> tuple[int, ...]:
     """class_ratios on normalized entries, as a plain tuple."""
     if not _weakly_symmetric(a):
         raise ValueError("class ratios undefined: matrix is not weakly symmetric")
-    if not _color_connected(a):
-        raise ValueError("class ratios undefined: color graph is not connected")
     ratios = _ratios_or_none(a)
+    if ratios is None and not _color_connected(a):
+        raise ValueError("class ratios undefined: color graph is not connected")
     if ratios is None:
         raise ValueError("class ratios undefined: matrix is not consistent")
     return ratios

@@ -36,9 +36,9 @@ from multiprocessing import Pool
 
 from .cam import (
     ColorAdjacencyMatrix,
-    _color_connected,
     _ratios,
     _ratios_or_none,
+    _row_sum,
     _weakly_symmetric,
     entries_of,
 )
@@ -86,7 +86,7 @@ def passes_filters(A) -> bool:
     nondecreasing.
     """
     a = entries_of(A)
-    return (_weakly_symmetric(a) and len({sum(row) for row in a}) == 1
+    return (_weakly_symmetric(a) and _row_sum(a) is not None
             and _survivor_ratios(a) is not None)
 
 
@@ -94,7 +94,7 @@ def _survivor_ratios(a) -> tuple[int, ...] | None:
     """The filter after weak symmetry: the class ratios of a
     color-connected, consistent matrix whose ratios are nondecreasing,
     else None."""
-    ratios = _ratios_or_none(a) if _color_connected(a) else None
+    ratios = _ratios_or_none(a)
     if ratios is None or any(x > y for x, y in zip(ratios, ratios[1:])):
         return None
     return ratios

@@ -45,3 +45,19 @@ def platonic_spectra() -> dict:
     """Per solid: the characteristic polynomial of the edge graph as a
     list of (monic factor coefficients, multiplicity) pairs."""
     return load("platonic_spectra.json")
+
+
+def platonic_char_polys() -> dict:
+    """Per solid: platonic_spectra multiplied out, highest degree first."""
+    polys = {}
+    for solid, factors in platonic_spectra().items():
+        poly = [1]
+        for coeffs, mult in factors:
+            for _ in range(mult):
+                product = [0] * (len(poly) + len(coeffs) - 1)
+                for i, x in enumerate(poly):
+                    for j, y in enumerate(coeffs):
+                        product[i + j] += x * y
+                poly = product
+        polys[solid] = poly
+    return polys

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cam import ColorAdjacencyMatrix, _ratios, _scaled, entries_of, sizes_for
+from .cam import (ColorAdjacencyMatrix, _ratios_or_none, _row_sum, _scaled,
+                  _weakly_symmetric, entries_of, sizes_for)
 from .graphs import Coloring, Graph, platonic
 from .spectral import spectral_filter
 from .enumeration import enumerate_cams
@@ -63,23 +64,20 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
         raise ValueError(f"unknown mode {mode!r}")
     a = entries_of(A)
     m = len(a)
-    sums = {sum(row) for row in a}
-    if len(sums) != 1:
+    k = _row_sum(a)
+    if k is None:
         raise ValueError("matrix row sums must be constant")
-    k = sums.pop()
     if G.regularity() != k:
         raise ValueError(f"graph must be {k}-regular to match the matrix")
-    if not G.is_connected():
+    order = G.bfs_order(0)
+    if len(order) != G.n:
         raise ValueError("search expects a connected graph")
     counting = mode == "count_all"
-    try:
-        quota = _scaled(_ratios(a), G.n)
-    except ValueError:
-        quota = None  # the matrix fails a validity condition
+    ratios = _ratios_or_none(a) if _weakly_symmetric(a) else None
+    quota = _scaled(ratios, G.n) if ratios else None
     if quota is None:
         return SearchOutcome(False, None, 0 if counting else None)
 
-    order = G.bfs_order(0)
     adj = G.adj
     n = G.n
     color = [0] * n

@@ -75,6 +75,56 @@ def consistency_verdicts_vectorized(mats, m: int):
     return verdicts
 
 
+def count_valid_matrices(m: int, k: int, chunk: int = 500_000) -> int:
+    """How many m x m matrices with all row sums k are weakly symmetric,
+    color-connected and consistent, with no ratio order imposed.
+
+    Only weakly symmetric matrices are generated.  Each off-diagonal
+    support pattern (a symmetric boolean matrix) is fixed first, and
+    kept only if its boolean reachability closure is full, which is
+    color connectivity.  Each row is then drawn from the compositions of
+    k whose off-diagonal nonzeros match the pattern's row exactly (the
+    weak-symmetry mask), and consistency_verdicts_vectorized counts the
+    consistent ones among the row products, in batches of chunk.
+    """
+    import numpy as np
+
+    comps = np.array(sorted(compositions(k, m)), dtype=np.int8)
+    off = ~np.eye(m, dtype=bool)
+    pairs = list(combinations(range(m), 2))
+    total = 0
+    batch, size = [], 0
+    for bits in product((False, True), repeat=len(pairs)):
+        support = np.eye(m, dtype=bool)
+        for (i, j), bit in zip(pairs, bits):
+            support[i, j] = support[j, i] = bit
+        reach = support
+        for _ in range(m.bit_length()):
+            reach = reach @ reach
+        if not reach.all():
+            continue
+        choices = [comps[np.all((comps[:, off[i]] > 0) == support[i, off[i]],
+                                axis=1)] for i in range(m)]
+        count = 1
+        for rows in choices:
+            count *= len(rows)
+        for start in range(0, count, chunk):
+            idx = np.unravel_index(
+                np.arange(start, min(start + chunk, count)),
+                [len(rows) for rows in choices])
+            batch.append(np.stack(
+                [rows[i] for rows, i in zip(choices, idx)], axis=1))
+            size += len(batch[-1])
+            if size >= chunk:
+                total += int(consistency_verdicts_vectorized(
+                    np.concatenate(batch), m).sum())
+                batch, size = [], 0
+    if batch:
+        total += int(consistency_verdicts_vectorized(
+            np.concatenate(batch), m).sum())
+    return total
+
+
 def ratios_by_least_solution(a) -> tuple[int, ...] | None:
     """Smallest positive integer solution of a_ij v_i = a_ji v_j, by search.
 

@@ -213,6 +213,9 @@ def test_class_ratios_rejects_invalid():
         class_ratios([[0, 3], [0, 3]])
     with pytest.raises(ValueError, match="not connected"):
         class_ratios([[3, 0], [0, 3]])
+    # disconnected and inconsistent: connectivity is named first
+    with pytest.raises(ValueError, match="not connected"):
+        class_ratios([[0, 1, 2, 0], [1, 1, 1, 0], [1, 2, 0, 0], [0, 0, 0, 3]])
     with pytest.raises(ValueError, match="not consistent"):
         class_ratios([[0, 1, 2], [1, 1, 1], [1, 2, 0]])
 

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import perfcol
 from perfcol.cli import main
 from perfcol.graphs import parse_graph, platonic, verify_coloring
 
@@ -254,6 +259,28 @@ def test_search_malformed_json_graph_is_domain_error(capsys, tmp_path, doc):
                          "--matrix", "[[0,3],[1,2]]")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["search", "filter"])
+@pytest.mark.parametrize("text", [
+    "200000000\n0 1\n",
+    '{"n": 200000000, "edges": [[0, 1]]}',
+], ids=["edge-list", "json"])
+def test_huge_declared_vertex_count_is_domain_error(tmp_path, command, text):
+    # 2e8 neighbor lists need about 13 GB; the child may map 128 MiB
+    path = tmp_path / "huge"
+    path.write_text(text)
+    limit = 128 << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "perfcol.cli", command, "--graph", str(path),
+         "--matrix", "[[0,1],[1,0]]"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(perfcol.__file__).parents[1])),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_search_missing_graph_file(capsys):

@@ -7,6 +7,8 @@ from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfcol.cam import (
     ColorAdjacencyMatrix,
@@ -24,6 +26,8 @@ from perfcol.enumeration import (
     passes_filters,
 )
 from perfcol.golden import survivor_counts, two_color_matrices
+
+from oracles import consistent_by_cycles, count_valid_matrices
 
 
 # -------------------------------------------------------------- generation
@@ -67,10 +71,44 @@ def test_passes_filters_examples():
     assert not passes_filters(((0, 3), (0, 3)))
     # connectivity failure
     assert not passes_filters(((3, 0), (0, 3)))
+    # disconnected and inconsistent at once
+    assert not passes_filters(
+        ((0, 1, 2, 0), (1, 1, 1, 0), (1, 2, 0, 0), (0, 0, 0, 3)))
     # valid in every other respect, but the row sums differ
     assert not passes_filters(((0, 2), (1, 2)))
     with pytest.raises(ValueError, match="square"):
         passes_filters(((0, 3), (1, 2, 0)))
+
+
+@st.composite
+def weakly_symmetric_matrices(draw):
+    """m <= 4, off-diagonal entries 0..4 with each pair zero on both sides
+    or positive on both; half the time the diagonal evens out the row
+    sums, so the filter's other conditions get exercised."""
+    m = draw(st.integers(1, 4))
+    a = [[draw(st.integers(0, 4)) if i == j else 0 for j in range(m)]
+         for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if draw(st.booleans()):
+                a[i][j] = draw(st.integers(1, 4))
+                a[j][i] = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        top = max(sum(row) for row in a)
+        for i in range(m):
+            a[i][i] += top - sum(a[i])
+    return tuple(map(tuple, a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weakly_symmetric_matrices())
+def test_passes_filters_is_the_conjunction_of_the_conditions(a):
+    want = (len({sum(row) for row in a}) == 1 and is_color_connected(a)
+            and consistent_by_cycles(a))
+    if want:
+        r = class_ratios(a).numerators
+        want = list(r) == sorted(r)
+    assert passes_filters(a) == want
 
 
 def test_passes_filters_conditions_hold_for_survivors():
@@ -212,6 +250,20 @@ def test_enumerate_five_colors_degree_four_is_pinned():
     assert len(survivors) == 3996
     assert hashlib.sha256(doc.encode()).hexdigest() == (
         "c7434f0f05347559c6c93b8837a878e0dfabd619bdbb65ee39911cfcfdbcbb7b")
+
+
+@pytest.mark.parametrize("m,k", [(3, 5), (4, 4), (5, 3), (5, 4)])
+def test_survivor_orbits_count_every_valid_matrix(m, k):
+    # orbit-stabilizer: survivor A stands for m!/|Stab(A)| valid matrices,
+    # and the oracle counts those without canonical forms or ratios
+    perms = list(permutations(range(m)))
+    total = 0
+    for a in enumerate_cams(m, k).survivors:
+        e = a.entries
+        stab = sum(all(e[p[i]][p[j]] == e[i][j]
+                       for i in range(m) for j in range(m)) for p in perms)
+        total += len(perms) // stab
+    assert total == count_valid_matrices(m, k)
 
 
 def test_enumerate_threaded_matches_single():

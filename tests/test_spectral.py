@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfcol.cam import conjugate
+from perfcol.golden import platonic_char_polys, platonic_spectra
 from perfcol.graphs import platonic
 from perfcol.spectral import IntPolynomial, char_poly, divides, spectral_filter
 
@@ -126,6 +127,14 @@ def test_platonic_char_polys_match_known_spectra():
     for name, factors in known.items():
         got = char_poly(platonic(name).adjacency_matrix())
         assert list(got.coefficients) == expand_factors(factors), name
+
+
+
+def test_golden_char_polys_expand_the_stored_factors():
+    polys = platonic_char_polys()
+    assert polys.keys() == platonic_spectra().keys()
+    for name, factors in platonic_spectra().items():
+        assert polys[name] == expand_factors(factors), name
 
 
 # ------------------------------------------------------------- divides

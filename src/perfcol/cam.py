@@ -54,9 +54,7 @@ class ColorAdjacencyMatrix:
     entries: Entries
 
     def __post_init__(self):
-        rows = entries_of(self.entries)
-        if not rows:
-            raise ValueError("matrix must have at least one row")
+        rows = _nonempty(entries_of(self.entries))
         if any(x < 0 for row in rows for x in row):
             raise ValueError("matrix entries must be nonnegative")
         object.__setattr__(self, "entries", rows)
@@ -112,6 +110,13 @@ def entries_of(A) -> Entries:
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
     return rows
+
+
+def _nonempty(a: Entries) -> Entries:
+    """a itself; raises ValueError when it has no rows."""
+    if not a:
+        raise ValueError("matrix must have at least one row")
+    return a
 
 
 def parse_matrix(text: str) -> ColorAdjacencyMatrix:
@@ -175,7 +180,7 @@ def is_color_connected(A) -> bool:
     this graph is the same as A not being conjugate to a block diagonal
     matrix with more than one block.
     """
-    return _color_connected(entries_of(A))
+    return _color_connected(_nonempty(entries_of(A)))
 
 
 def _color_connected(a: Entries) -> bool:
@@ -307,6 +312,7 @@ def class_ratios(A) -> RationalVector:
 
 def _ratios(a: Entries) -> tuple[int, ...]:
     """class_ratios on normalized entries, as a plain tuple."""
+    _nonempty(a)
     if not _weakly_symmetric(a):
         raise ValueError("class ratios undefined: matrix is not weakly symmetric")
     ratios = _ratios_or_none(a)

@@ -13,17 +13,33 @@ of k.  For j < i every survivor has a_ij = a_ji = 0 (weak symmetry) or
 0 < a_ij <= a_ji (from a_ij v_i = a_ji v_j with v_j <= v_i), so once the
 rows above row i are fixed, the first i entries of row i range over a
 box, and the scan looks each prefix in that box up in a table of the
-compositions that start with it.
+compositions that start with it.  Every placed prefix is therefore
+weakly symmetric.
 
-Rows are drawn in lexicographic order, so the leaves arrive sorted, and
-a leaf is kept only if it is the smallest of its ratio-order-keeping
-conjugates.  The representative of a class passes every filter and the
-prefix bound prunes only matrices that fail one, so each class is
-emitted exactly once, without a set of keys or a sort.
+The other conditions are decided at the depth where they fail.  Once
+rows 0..i are placed, every pair among colors 0..i is known, so the
+scan carries integer potentials v_0..v_i and the components of colors
+0..i, and drops row i when
+  (a) the pairs of row i give v_i two values in one component;
+  (b) v is not nondecreasing along the members of a component;
+  (c) i < m-1 and the component of i has no positive entry to a color
+      beyond i, so no completion is connected (a component that row i
+      does not touch kept such an entry from the depth it last grew);
+  (d) for a color t < i in i's component with v_t = v_i, exchanging t
+      and i makes rows 0..i lexicographically smaller.
+The pairs within a component, and so its ratios and ties, never change
+later, so a dropped prefix has no kept completion.  By (c) at depth m-2
+every component has an entry to color m-1, and weak symmetry makes row
+m-1 join them all, so the last row needs no connectivity pass: the leaf
+only checks, with v as the ratios, that the matrix is the smallest of
+its ratio-order-keeping conjugates.  Rows are drawn in lexicographic
+order, so the leaves arrive sorted, and each class is emitted exactly
+once, without a set of keys or a sort.
 
 Cache policy: memoize results keyed by their public arguments (here
 enumerate_cams per (m, k)), never per-call tables such as the
-compositions and their prefix table, which each scan rebuilds.
+compositions, their prefix table and the prefixes of each box, which
+each scan rebuilds.
 """
 
 from __future__ import annotations
@@ -31,8 +47,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import chain, groupby, permutations, product
-from math import comb
+from math import comb, gcd
 from multiprocessing import Pool
+from operator import itemgetter
 
 from .cam import (
     ColorAdjacencyMatrix,
@@ -86,18 +103,11 @@ def passes_filters(A) -> bool:
     nondecreasing.
     """
     a = entries_of(A)
-    return (_weakly_symmetric(a) and _row_sum(a) is not None
-            and _survivor_ratios(a) is not None)
-
-
-def _survivor_ratios(a) -> tuple[int, ...] | None:
-    """The filter after weak symmetry: the class ratios of a
-    color-connected, consistent matrix whose ratios are nondecreasing,
-    else None."""
+    if not _weakly_symmetric(a) or _row_sum(a) is None:
+        return False
     ratios = _ratios_or_none(a)
-    if ratios is None or any(x > y for x, y in zip(ratios, ratios[1:])):
-        return None
-    return ratios
+    return ratios is not None and all(
+        x <= y for x, y in zip(ratios, ratios[1:]))
 
 
 def canonical_form(A) -> ColorAdjacencyMatrix:
@@ -108,19 +118,39 @@ def canonical_form(A) -> ColorAdjacencyMatrix:
     Those conjugates are walked directly: sort the colors by ratio, then
     permute the colors freely inside each block of tied ratios.
     """
-    a = entries_of(A)
-    return ColorAdjacencyMatrix(min(_conjugates(a, _ratios(a))))
+    return ColorAdjacencyMatrix(_smallest_conjugate(entries_of(A)))
 
 
-def _conjugates(a, ratios):
-    """The conjugates of a whose ratios stay nondecreasing; when a's own
-    ratios are sorted, a itself comes first."""
-    order = sorted(range(len(a)), key=ratios.__getitem__)
+def _smallest_conjugate(a):
+    """The smallest conjugate of a whose ratios stay nondecreasing."""
+    return min(tuple(tuple(a[i][j] for j in perm) for i in perm)
+               for perm in _relabelings(_ratios(a)))
+
+
+def _relabelings(ratios):
+    """The permutations that keep ratios nondecreasing once sorted; for
+    sorted ratios the identity comes first."""
+    order = sorted(range(len(ratios)), key=ratios.__getitem__)
     blocks = [tuple(g) for _, g in groupby(order, key=ratios.__getitem__)]
-    perms = (tuple(chain.from_iterable(p))
-             for p in product(*map(permutations, blocks)))
-    return (tuple(tuple(a[i][j] for j in perm) for i in perm)
-            for perm in perms)
+    return (tuple(chain.from_iterable(p))
+            for p in product(*map(permutations, blocks)))
+
+
+def _is_smallest(a, ratios) -> bool:
+    """True iff a, with sorted ratios, is the smallest of its conjugates
+    whose ratios stay nondecreasing.  Each conjugate is built row by row
+    and dropped at its first row that differs from a's."""
+    perms = _relabelings(ratios)
+    next(perms)
+    for perm in perms:
+        get = itemgetter(*perm)
+        for row, p in zip(a, perm):
+            other = get(a[p])
+            if other != row:
+                if other < row:
+                    return False
+                break
+    return True
 
 
 def canonical_dedup(candidates) -> list[ColorAdjacencyMatrix]:
@@ -129,8 +159,7 @@ def canonical_dedup(candidates) -> list[ColorAdjacencyMatrix]:
     The input matrices must pass passes_filters (their ratios must at
     least be defined).
     """
-    keys = {min(_conjugates(a, _ratios(a)))
-            for a in map(entries_of, candidates)}
+    keys = set(map(_smallest_conjugate, map(entries_of, candidates)))
     return [ColorAdjacencyMatrix(key) for key in sorted(keys)]
 
 
@@ -184,32 +213,109 @@ def _scan_range(m: int, k: int, lo: int, hi: int):
     Returns, in lexicographic order, the entries of every matrix in that
     slice that passes all four filters and is the smallest of its
     ratio-order-keeping conjugates.  Row i is drawn from the compositions
-    whose first i entries satisfy the prefix bound set by column i of the
-    rows above it.
+    whose first i entries lie in the box set by column i of the rows
+    above it, which keeps rows 0..i weakly symmetric.  A node carries
+    the potentials v of the placed colors and their components, each as
+    (members, support mask of its rows), and drops row i by the module's
+    checks: (a) consistency, (b) ratio order, (c) a closed component and
+    (d) a smaller swap of tied colors.  After (c) at depth m-2 the last
+    row joins a single component, so the leaf only tests canonicity.
     """
     comps = _compositions(k, m)
-    by_prefix: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    by_prefix: dict[tuple[int, ...], list[tuple[int, ...]]] = {
+        (): comps[lo:hi]}
     for c in comps:
         for i in range(1, m):
             by_prefix.setdefault(c[:i], []).append(c)
+    boxes: dict[tuple[int, ...], list] = {}
+    support = {c: sum(1 << j for j, x in enumerate(c) if x) for c in comps}
     out = []
     rows: list[tuple[int, ...]] = [()] * m
 
-    def descend(i: int):
-        if i == m:
-            a = tuple(rows)
-            ratios = _survivor_ratios(a)
-            if ratios is not None and all(
-                    c >= a for c in _conjugates(a, ratios)):
-                out.append(a)
+    def descend(i: int, v: list[int], parts: list[tuple[list[int], int]]):
+        col = tuple([row[i] for row in rows[:i]])
+        if col not in boxes:
+            box = (range(1, x + 1) if x else (0,) for x in col)
+            boxes[col] = [(p, by_prefix[p]) for p in product(*box)
+                          if p in by_prefix]
+        if not boxes[col]:
             return
-        box = (range(1, row[i] + 1) if row[i] else (0,) for row in rows[:i])
-        for prefix in product(*box):
-            for c in by_prefix.get(prefix, ()):
+        touched, rest = [], []
+        for part in parts:
+            (touched if any(col[j] for j in part[0]) else rest).append(part)
+        members = sorted(chain.from_iterable(p[0] for p in touched))
+        members.append(i)
+        reach = 0
+        for _, mask in touched:
+            reach |= mask
+        for prefix, cands in boxes[col]:
+            w = _extend(v, col, prefix, touched, members)
+            if w is None:
+                continue
+            ties = [t for t in members[:-1] if w[t] == w[i]]
+            for c in cands:
                 rows[i] = c
-                descend(i + 1)
+                if i == m - 1:
+                    a = tuple(rows)
+                    if _is_smallest(a, w):
+                        out.append(a)
+                    continue
+                mask = reach | support[c]
+                if mask >> (i + 1) and not any(  # checks (c) and (d)
+                        _swap_is_smaller(rows, t, i) for t in ties):
+                    descend(i + 1, w, rest + [(members, mask)])
 
-    for first in range(lo, hi):
-        rows[0] = comps[first]
-        descend(1)
+    descend(0, [], [])
     return out
+
+
+def _extend(v, col, prefix, touched, members):
+    """The potentials of colors 0..i once row i starts with prefix, or
+    None when checks (a) or (b) fail.
+
+    In each touched component the first color j with a_ji > 0 sets
+    v_i = n / d, n = v_j a_ji, d = a_ij, and every other such color must
+    agree.  The touched components are rescaled to one integer v_i, and
+    the merged members must be nondecreasing in index order.
+    """
+    w = v + [0]
+    top = 1
+    done: list[int] = []
+    for part, _ in touched:
+        n = d = 0
+        for j in part:
+            if col[j]:
+                if not n:
+                    n, d = v[j] * col[j], prefix[j]
+                elif v[j] * col[j] * d != n * prefix[j]:
+                    return None
+        g = gcd(top, n)
+        for x in done:
+            w[x] *= n // g
+        scale = d * top // g
+        for x in part:
+            w[x] = v[x] * scale
+        done += part
+        top = top * n // g
+    w[-1] = top
+    if any(w[x] > w[y] for x, y in zip(members, members[1:])):
+        return None
+    return w
+
+
+def _swap_is_smaller(rows, t: int, i: int) -> bool:
+    """True iff exchanging colors t < i makes rows 0..i smaller.
+
+    A row r other than t and i only has its entries t and i exchanged,
+    so it first differs from itself in column t.
+    """
+    for r in range(i + 1):
+        row = rows[r]
+        if r == t or r == i:
+            other = list(rows[t + i - r])
+            other[t], other[i] = other[i], other[t]
+            if tuple(other) != row:
+                return tuple(other) < row
+        elif row[t] != row[i]:
+            return row[i] < row[t]
+    return False

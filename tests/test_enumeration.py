@@ -17,6 +17,7 @@ from perfcol.cam import (
     is_color_connected,
     is_consistent,
     is_weakly_symmetric,
+    sizes_for,
 )
 from perfcol.enumeration import (
     canonical_dedup,
@@ -161,6 +162,22 @@ def test_canonical_dedup_examples():
     assert len(merged) == 1
 
 
+@pytest.mark.parametrize("call", [
+    class_ratios,
+    is_color_connected,
+    lambda a: sizes_for(a, 4),
+    canonical_form,
+    lambda a: canonical_dedup([a]),
+], ids=["class_ratios", "is_color_connected", "sizes_for", "canonical_form",
+        "canonical_dedup"])
+@pytest.mark.parametrize("empty", [[], ()])
+def test_empty_matrix_is_a_value_error(call, empty):
+    # the kernels behind these index row 0, so the public boundary must
+    # reject a matrix without rows before calling them
+    with pytest.raises(ValueError, match="at least one row"):
+        call(empty)
+
+
 def test_canonical_dedup_is_idempotent_and_sorted():
     raw = [a for a in generate_row_sum_matrices(3, 3) if passes_filters(a)]
     once = canonical_dedup(raw)
@@ -252,7 +269,18 @@ def test_enumerate_five_colors_degree_four_is_pinned():
         "c7434f0f05347559c6c93b8837a878e0dfabd619bdbb65ee39911cfcfdbcbb7b")
 
 
-@pytest.mark.parametrize("m,k", [(3, 5), (4, 4), (5, 3), (5, 4)])
+def test_enumerate_six_colors_degree_three_is_pinned():
+    # digest in the same form, computed before the scan rejected prefixes
+    # at the depth where they fail; the orbit count over these survivors
+    # matched the oracle's 586,420 valid matrices
+    survivors = enumerate_cams(6, 3).survivors
+    doc = json.dumps([[list(row) for row in a.entries] for a in survivors])
+    assert len(survivors) == 1037
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "e8198b811e00e5785a093cbc7f8c4ac34d9f2b3e163b53ab5b8ee18064c742b8")
+
+
+@pytest.mark.parametrize("m,k", [(3, 5), (4, 4), (5, 3), (5, 4), (5, 2), (3, 6)])
 def test_survivor_orbits_count_every_valid_matrix(m, k):
     # orbit-stabilizer: survivor A stands for m!/|Stab(A)| valid matrices,
     # and the oracle counts those without canonical forms or ratios
@@ -269,7 +297,7 @@ def test_survivor_orbits_count_every_valid_matrix(m, k):
 def test_enumerate_threaded_matches_single():
     # the survivor order comes from concatenating the shards, not a sort
     import perfcol.enumeration as enumeration
-    for m, k, threads in ((3, 4, 3), (4, 3, 2)):
+    for m, k, threads in ((3, 4, 3), (4, 3, 2), (5, 3, 2)):
         single = enumerate_cams(m, k)
         enumeration._memo.pop((m, k), None)
         try:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
 from operator import index
 from typing import Sequence
@@ -287,12 +288,13 @@ def is_consistent(A) -> bool:
 def _ratios_or_none(a: Entries) -> tuple[int, ...] | None:
     """Reduced ratio vector of a weakly symmetric matrix.
 
-    Returns None when the matrix is disconnected or inconsistent.  For
-    weakly symmetric input the mutual pairs are the edges of the color
-    graph, so the one potentials walk decides both conditions.
+    Returns None when the matrix has a negative entry, is disconnected
+    or is inconsistent.  For weakly symmetric input the mutual pairs are
+    the edges of the color graph, so the one potentials walk decides
+    both conditions.
     """
     walk = _potentials(a)
-    if walk is None or walk[2] != 1:
+    if walk is None or walk[2] != 1 or min(chain.from_iterable(a)) < 0:
         return None
     num, den, _ = walk
     common = lcm(*den)
@@ -304,23 +306,29 @@ def _ratios_or_none(a: Entries) -> tuple[int, ...] | None:
 def class_ratios(A) -> RationalVector:
     """The reduced positive vector (v_1 : ... : v_m) with a_ij v_i = a_ji v_j.
 
-    Requires a weakly symmetric, consistent, color-connected matrix;
-    raises ValueError otherwise, naming the failed condition.
+    Requires a nonnegative, weakly symmetric, consistent, color-connected
+    matrix; raises ValueError otherwise, naming the failed condition.
     """
     return RationalVector(_ratios(entries_of(A)))
 
 
 def _ratios(a: Entries) -> tuple[int, ...]:
-    """class_ratios on normalized entries, as a plain tuple."""
-    _nonempty(a)
-    if not _weakly_symmetric(a):
+    """class_ratios on normalized entries, as a plain tuple.
+
+    The failed condition is named only after the ratios fail, so valid
+    input pays for no check beyond those of _ratios_or_none.
+    """
+    weak = _weakly_symmetric(_nonempty(a))
+    ratios = _ratios_or_none(a) if weak else None
+    if ratios is not None:
+        return ratios
+    if min(chain.from_iterable(a)) < 0:
+        raise ValueError("matrix entries must be nonnegative")
+    if not weak:
         raise ValueError("class ratios undefined: matrix is not weakly symmetric")
-    ratios = _ratios_or_none(a)
-    if ratios is None and not _color_connected(a):
+    if not _color_connected(a):
         raise ValueError("class ratios undefined: color graph is not connected")
-    if ratios is None:
-        raise ValueError("class ratios undefined: matrix is not consistent")
-    return ratios
+    raise ValueError("class ratios undefined: matrix is not consistent")
 
 
 def sizes_for(A, n: int) -> tuple[int, ...] | None:

@@ -1,19 +1,37 @@
 """Backtracking search for perfect colorings of a concrete graph.
 
 Given a connected k-regular graph and a candidate matrix A, the search
-colors vertices in breadth-first order from vertex 0 and prunes a
-partial assignment as soon as some vertex collects more color-j
-neighbors than its row of A allows, or some class outgrows its forced
-size.  For a regular graph the per-color neighbor deficits of a vertex
-always sum to its number of uncolored neighbors, so once every count is
-within bounds no separate "can the remaining neighbors still supply
-enough" prune can fire; the counting prune subsumes it.
+colors vertices in breadth-first order from vertex 0, tries colors in
+ascending order, and skips a color whose class has reached its forced
+size.  Every vertex carries a domain, the bitmask of colors it may still
+take, and placing color i at v cuts domains by three rules:
+
+  - an uncolored neighbor u of v now has x color-i neighbors, so it
+    keeps only the colors whose row allows x of them (fits[i][x]);
+  - a colored neighbor u whose count of color-i neighbors reaches
+    a[c_u][i] has no room for another, so i leaves the domains of u's
+    uncolored neighbors;
+  - every color j whose quota a[i][j] v has already met leaves the
+    domains of v's uncolored neighbors.
+
+A placement that empties a domain is undone at once.  Neighbor counts
+only grow along a branch and a perfect coloring needs each of them
+exact, so every color a rule removes fails in every completion: the
+cuts drop dead subtrees only.  The search therefore meets the same
+solutions in the same order as plain backtracking with the same vertex
+and color order, so the first witness and the count do not change.  By
+the second and third rules no uncolored neighbor of a colored vertex
+holds a color the vertex has no room for, so a colored vertex never
+outgrows its row: it needs no overflow test, and its domain is not read.
+Each cut goes on one trail of (vertex, old domain) pairs, and
+backtracking restores the trail down to the mark of its depth.
 
 The class sizes are forced: a perfect coloring of a connected graph
 must split the n vertices proportionally to the class ratio vector, so
 a matrix whose ratios do not divide n evenly is rejected outright, as
-is any matrix failing weak symmetry, consistency, or color
-connectivity (all necessary on a connected graph).
+is any matrix with a negative entry or failing weak symmetry,
+consistency, or color connectivity (all necessary on a connected
+graph).
 """
 
 from __future__ import annotations
@@ -51,9 +69,10 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
             counts every vertex-labeled valid assignment.
 
     Returns:
-        A SearchOutcome; unrealizable matrices (including those failing
-        the validity conditions or whose class sizes cannot be integers
-        on G.n vertices) simply come back unrealizable.
+        A SearchOutcome; unrealizable matrices (including those with a
+        negative entry, those failing the validity conditions, and those
+        whose class sizes cannot be integers on G.n vertices) simply come
+        back unrealizable.
 
     Raises:
         ValueError: if mode is unknown, A's row sums are not constant,
@@ -80,9 +99,19 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
 
     adj = G.adj
     n = G.n
+    # fits[i][x]: the colors (as a bitmask) whose row allows x neighbors
+    # of color i
+    fits = [[0] * (k + 1) for _ in range(m)]
+    for c, row in enumerate(a):
+        for i, most in enumerate(row):
+            for x in range(most + 1):
+                fits[i][x] |= 1 << c
     color = [0] * n
     counts = [[0] * m for _ in range(n)]
+    dom = [(1 << m) - 1] * n
     used = [0] * m
+    trail: list[tuple[int, int]] = []  # (vertex, its domain before a cut)
+    marks = [0] * n  # the trail length before the placement at each depth
     found = 0
     first: tuple[int, ...] | None = None
     idx = 0
@@ -96,34 +125,52 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
                 break
         else:
             v = order[idx]
-            mine = counts[v]
-            for i in range(start, m):
-                if used[i] == quota[i]:
-                    continue
-                row = a[i]
-                if any(mine[j] > row[j] for j in range(m)):
-                    continue
-                feasible = True
-                placed = 0
-                for u in adj[v]:
-                    counts[u][i] += 1
-                    placed += 1
-                    cu = color[u]
-                    if cu and counts[u][i] > a[cu - 1][i]:
-                        feasible = False
-                        break
-                if feasible:
+            choices = dom[v] >> start << start
+            while choices:
+                bit = choices & -choices
+                i = bit.bit_length() - 1
+                if used[i] < quota[i]:
                     break
-                for u in adj[v][:placed]:
-                    counts[u][i] -= 1
-            else:
-                i = m
-            if i < m:
+                choices ^= bit
+            if choices:
+                # place color i at v, then cut the domains it rules out
+                marks[idx] = len(trail)
                 color[v] = i + 1
                 used[i] += 1
                 idx += 1
-                start = 0
-                continue
+                # colors whose quota at v is not met yet
+                row = a[i]
+                mine = counts[v]
+                keep = 0
+                for j in range(m):
+                    if mine[j] < row[j]:
+                        keep |= 1 << j
+                fit = fits[i]
+                alive = True
+                for u in adj[v]:
+                    theirs = counts[u]
+                    x = theirs[i] + 1
+                    theirs[i] = x
+                    cu = color[u]
+                    if not cu:
+                        du = dom[u]
+                        d = du & fit[x] & keep
+                        if d != du:
+                            trail.append((u, du))
+                            dom[u] = d
+                            if not d:
+                                alive = False
+                    elif x == a[cu - 1][i]:
+                        for w in adj[u]:
+                            dw = dom[w]
+                            if dw & bit and not color[w]:
+                                trail.append((w, dw))
+                                dom[w] = dw ^ bit
+                                if dw == bit:
+                                    alive = False
+                if alive:
+                    start = 0
+                    continue
         if idx == 0:
             break
         # backtrack: undo the color placed one level up, try the next one
@@ -134,6 +181,10 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
         used[i] -= 1
         for u in adj[v]:
             counts[u][i] -= 1
+        mark = marks[idx]
+        while len(trail) > mark:
+            u, d = trail.pop()
+            dom[u] = d
         start = i + 1
     witness = Coloring(first, m) if first is not None else None
     return SearchOutcome(found > 0, witness, found if counting else None)

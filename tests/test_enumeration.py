@@ -27,6 +27,7 @@ from perfcol.enumeration import (
     passes_filters,
 )
 from perfcol.golden import survivor_counts, two_color_matrices
+from perfcol.graphs import build_witness
 
 from oracles import consistent_by_cycles, count_valid_matrices
 
@@ -176,6 +177,25 @@ def test_empty_matrix_is_a_value_error(call, empty):
     # reject a matrix without rows before calling them
     with pytest.raises(ValueError, match="at least one row"):
         call(empty)
+
+
+@pytest.mark.parametrize("call", [
+    class_ratios,
+    lambda a: sizes_for(a, 8),
+    build_witness,
+], ids=["class_ratios", "sizes_for", "build_witness"])
+@pytest.mark.parametrize("a", [((2, 1), (-1, 4)), ((3, 0), (-1, 4))])
+def test_negative_entry_is_a_value_error(call, a):
+    # the first matrix is weakly symmetric with ratios (1, -1) that sum
+    # to zero, the second is not weakly symmetric; the sign is named
+    # before every other condition
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        call(a)
+
+
+def test_negative_entry_fails_the_filter():
+    assert not passes_filters([[4, -1], [-1, 4]])
+    assert not passes_filters([[2, 1], [-1, 4]])
 
 
 def test_canonical_dedup_is_idempotent_and_sorted():

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from perfcol.cam import sizes_for
 from perfcol.enumeration import canonical_form, enumerate_cams
+from perfcol.golden import platonic_candidates
 from perfcol.graphs import (
     Graph,
+    build_witness,
     construct_regular,
     minimal_class_sizes,
     platonic,
@@ -83,6 +89,15 @@ def test_invalid_matrices_are_unrealizable_not_errors():
         assert outcome == SearchOutcome(False, None, None)
 
 
+def test_negative_entry_is_unrealizable():
+    # weakly symmetric, with ratios (1, -1) that sum to zero
+    cube = platonic("cube")
+    a = ((2, 1), (-1, 4))
+    assert find_perfect_coloring(cube, a) == SearchOutcome(False, None, None)
+    assert find_perfect_coloring(cube, a, mode="count_all") == \
+        SearchOutcome(False, None, 0)
+
+
 def test_find_perfect_coloring_errors():
     k4 = platonic("tetrahedron")
     with pytest.raises(ValueError, match="unknown mode"):
@@ -114,8 +129,8 @@ def test_witness_present_exactly_when_realizable():
 def test_count_matches_brute_force_on_small_platonics():
     # every survivor, including spectrally impossible ones, against a
     # filter over all m^n assignments
-    cases = [("tetrahedron", 2), ("tetrahedron", 3),
-             ("octahedron", 2), ("octahedron", 3),
+    cases = [("tetrahedron", 2), ("tetrahedron", 3), ("tetrahedron", 4),
+             ("octahedron", 2), ("octahedron", 3), ("octahedron", 4),
              ("cube", 2), ("cube", 3)]
     for name, m in cases:
         g = platonic(name)
@@ -126,6 +141,71 @@ def test_count_matches_brute_force_on_small_platonics():
             assert got.realizable == bool(want)
             if want:
                 assert tuple(got.witness.assignment) in want
+
+
+def _random_regular(rng, n, k):
+    """A connected simple k-regular graph on n vertices, by redrawing a
+    random pairing of n*k points until it has no loop or repeated edge."""
+    points = [v for v in range(n) for _ in range(k)]
+    while True:
+        rng.shuffle(points)
+        edges = set()
+        for u, v in zip(points[::2], points[1::2]):
+            if u == v or (min(u, v), max(u, v)) in edges:
+                break
+            edges.add((min(u, v), max(u, v)))
+        else:
+            graph = Graph.from_edges(n, sorted(edges))
+            if graph.is_connected():
+                return graph
+
+
+def test_search_matches_brute_force_on_random_regular_graphs():
+    # graphs with few automorphisms: counts of 0 and 1 occur, and the
+    # first witness must be the smallest coloring read in search order
+    rng = random.Random(1)
+    realizable = 0
+    for k, n in ((3, 8), (3, 10), (4, 7), (4, 9)):
+        for _ in range(2):
+            g = _random_regular(rng, n, k)
+            order = g.bfs_order(0)
+            for m in (2, 3):
+                for a in enumerate_cams(m, k).survivors:
+                    if sizes_for(a, n) is None:
+                        continue
+                    want = all_colorings_brute_force(g, a.entries)
+                    got = find_perfect_coloring(g, a, mode="count_all")
+                    assert got.labeled_count == len(want), (n, k, a.entries)
+                    first = find_perfect_coloring(g, a).witness
+                    if want:
+                        realizable += 1
+                        smallest = min(want, key=lambda c: [c[v] for v in order])
+                        assert first.assignment == smallest, (n, k, a.entries)
+                    else:
+                        assert first is None
+    assert realizable >= 10
+
+
+def test_first_witnesses_are_pinned():
+    # (matrix, witness) of "first" mode on every Platonic survey
+    # candidate and on the build_witness graph of every (3,5) and (4,3)
+    # survivor; pins the order in which the search meets solutions
+    docs = []
+    candidates = platonic_candidates()
+    for solid in sorted(candidates):
+        g = platonic(solid)
+        for m in sorted(candidates[solid]):
+            for a in candidates[solid][m]["candidates"]:
+                w = find_perfect_coloring(g, a).witness
+                docs.append([a, list(w.assignment) if w else None])
+    for m, k in ((3, 5), (4, 3)):
+        for a in enumerate_cams(m, k).survivors:
+            g, _ = build_witness(a)
+            w = find_perfect_coloring(g, a).witness
+            docs.append([[list(row) for row in a.entries], list(w.assignment)])
+    assert len(docs) == 268
+    assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == (
+        "146041cc1415bf51432ec2119e53100ace67bc96328b6b54919d01949690d684")
 
 
 # ---------------------------------------------------------------- surveys

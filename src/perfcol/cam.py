@@ -17,10 +17,10 @@ if three conditions hold:
 Consistency is what makes the color class sizes well defined: counting
 the edges between classes i and j in two ways gives a_ij v_i = a_ji v_j,
 so the sizes are determined up to scale by walking any spanning tree of
-the color graph.  All arithmetic here is exact integer arithmetic.  For
-weakly symmetric input the color graph is the graph of mutual pairs, so
-one walk (_potentials) assigns the sizes and decides connectivity and
-consistency together.
+the color graph.  All arithmetic here is exact integer arithmetic.  One
+kernel, _ratios_or_none, decides all three conditions and the sign: weak
+symmetry first, which makes the color graph the graph of mutual pairs,
+then one walk (_potentials) that assigns the sizes and decides the rest.
 
 Validation happens once, at the public boundary.  A public function
 normalizes its matrix argument with entries_of (which hands back the
@@ -286,13 +286,15 @@ def is_consistent(A) -> bool:
 
 
 def _ratios_or_none(a: Entries) -> tuple[int, ...] | None:
-    """Reduced ratio vector of a weakly symmetric matrix.
+    """Reduced ratio vector of a, or None when a has no class ratios.
 
-    Returns None when the matrix has a negative entry, is disconnected
-    or is inconsistent.  For weakly symmetric input the mutual pairs are
-    the edges of the color graph, so the one potentials walk decides
-    both conditions.
+    Returns None unless the matrix is weakly symmetric, connected,
+    consistent and nonnegative.  Weak symmetry is tested first: it makes
+    the mutual pairs the edges of the color graph, so the one potentials
+    walk decides the next two conditions, and callers test none first.
     """
+    if not _weakly_symmetric(a):
+        return None
     walk = _potentials(a)
     if walk is None or walk[2] != 1 or min(chain.from_iterable(a)) < 0:
         return None
@@ -315,16 +317,16 @@ def class_ratios(A) -> RationalVector:
 def _ratios(a: Entries) -> tuple[int, ...]:
     """class_ratios on normalized entries, as a plain tuple.
 
-    The failed condition is named only after the ratios fail, so valid
-    input pays for no check beyond those of _ratios_or_none.
+    The failed condition is named only after _ratios_or_none fails, in
+    the order sign, weak symmetry, connectivity, consistency, so valid
+    input pays for no check beyond those of the kernel.
     """
-    weak = _weakly_symmetric(_nonempty(a))
-    ratios = _ratios_or_none(a) if weak else None
+    ratios = _ratios_or_none(_nonempty(a))
     if ratios is not None:
         return ratios
     if min(chain.from_iterable(a)) < 0:
         raise ValueError("matrix entries must be nonnegative")
-    if not weak:
+    if not _weakly_symmetric(a):
         raise ValueError("class ratios undefined: matrix is not weakly symmetric")
     if not _color_connected(a):
         raise ValueError("class ratios undefined: color graph is not connected")

@@ -231,13 +231,12 @@ def cmd_enumerate(args) -> int:
 def cmd_filter(args) -> int:
     A = parse_matrix(args.matrix)
     _range_notice(A.m, A.row_sum)
-    weak = is_weakly_symmetric(A)
-    ratios = _ratios_or_none(A.entries) if weak else None
+    ratios = _ratios_or_none(A.entries)
     report = {
         "matrix": _matrix_rows(A),
         "m": A.m,
         "row_sum": A.row_sum,
-        "weakly_symmetric": weak,
+        "weakly_symmetric": is_weakly_symmetric(A),
         "consistent": is_consistent(A),
         "color_connected": is_color_connected(A),
         "ratios": list(ratios) if ratios else None,

@@ -48,7 +48,6 @@ import os
 from dataclasses import dataclass
 from itertools import chain, groupby, permutations, product
 from math import comb, gcd
-from multiprocessing import Pool
 from operator import itemgetter
 
 from .cam import (
@@ -56,7 +55,6 @@ from .cam import (
     _ratios,
     _ratios_or_none,
     _row_sum,
-    _weakly_symmetric,
     entries_of,
 )
 
@@ -103,10 +101,8 @@ def passes_filters(A) -> bool:
     nondecreasing.
     """
     a = entries_of(A)
-    if not _weakly_symmetric(a) or _row_sum(a) is None:
-        return False
     ratios = _ratios_or_none(a)
-    return ratios is not None and all(
+    return ratios is not None and _row_sum(a) is not None and all(
         x <= y for x, y in zip(ratios, ratios[1:]))
 
 
@@ -182,6 +178,8 @@ def enumerate_cams(m: int, k: int, threads: int | None = None) -> EnumerationRes
     if threads > 1 and count >= 2 * threads:
         bounds = [i * count // threads for i in range(threads + 1)]
         jobs = [(m, k, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+        # imported here, not at the top: only a threaded scan needs it
+        from multiprocessing import Pool
         with Pool(processes=len(jobs)) as pool:
             entries = chain.from_iterable(pool.starmap(_scan_range, jobs))
     else:

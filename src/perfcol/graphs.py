@@ -330,8 +330,8 @@ def build_witness(A) -> tuple[Graph, Coloring]:
                       for u, w in _biregular_edges(a[i][j], sizes[i], sizes[j])]
     graph = Graph.from_edges(offsets[-1], edges)
     colors = tuple(i + 1 for i in range(m) for _ in range(sizes[i]))
-    if not graph.is_connected():
-        keep = graph.component(0)
+    keep = graph.component(0)
+    if len(keep) < graph.n:
         graph = graph.induced(keep)
         colors = tuple(colors[v] for v in keep)
     return graph, Coloring(colors, m)

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cam import (ColorAdjacencyMatrix, _ratios_or_none, _row_sum, _scaled,
-                  _weakly_symmetric, entries_of, sizes_for)
+                  entries_of)
 from .graphs import Coloring, Graph, platonic
 from .spectral import spectral_filter
 from .enumeration import enumerate_cams
@@ -92,7 +92,7 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
     if len(order) != G.n:
         raise ValueError("search expects a connected graph")
     counting = mode == "count_all"
-    ratios = _ratios_or_none(a) if _weakly_symmetric(a) else None
+    ratios = _ratios_or_none(a)
     quota = _scaled(ratios, G.n) if ratios else None
     if quota is None:
         return SearchOutcome(False, None, 0 if counting else None)
@@ -204,7 +204,7 @@ def platonic_survey(name: str, m: int, threads: int | None = None):
     result = enumerate_cams(m, degree, threads=threads)
     survey: list[tuple[ColorAdjacencyMatrix, SearchOutcome]] = []
     for candidate in result.survivors:
-        if sizes_for(candidate, graph.n) is None:
+        if _scaled(_ratios_or_none(candidate.entries), graph.n) is None:
             continue
         if not spectral_filter(candidate, graph):
             continue

@@ -86,7 +86,6 @@ def char_poly(M) -> IntPolynomial:
 
 
 def _mat_mul(a, b):
-    n = len(a)
     cols = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in cols]
             for row in a]

@@ -6,6 +6,10 @@ These pins catch a public name or a flag that disappears in a refactor.
 from __future__ import annotations
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import perfcol
 from perfcol.cli import build_parser
@@ -56,3 +60,16 @@ def test_cli_option_strings_are_pinned():
         options = {opt for action in sub.choices[command]._actions
                    for opt in action.option_strings}
         assert options == expected, command
+
+
+def test_import_leaves_multiprocessing_out():
+    # only a threaded enumeration needs a process pool, so importing the
+    # package must not pay for loading multiprocessing
+    code = ("import perfcol, perfcol.cli, sys; "
+            "print('multiprocessing' in sys.modules)")
+    src = str(Path(perfcol.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

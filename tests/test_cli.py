@@ -140,6 +140,18 @@ def test_filter_with_graph(capsys):
     assert doc["spectral"] is True
 
 
+def test_filter_one_sided_pair_beside_mutual_pairs(capsys):
+    # the mutual pairs alone are connected and consistent (ratios 1:1:1),
+    # but a_02 > 0 = a_20, so there are no ratios and no sizes
+    code, out, _ = run(capsys, "filter", "--graph", "platonic:cube",
+                       "--matrix", "[[0,1,2],[1,1,1],[0,1,2]]")
+    doc = json.loads(out)
+    assert code == 0
+    assert not doc["weakly_symmetric"]
+    assert doc["ratios"] is None and doc["sizes"] is None
+    assert doc["passes_filters"] is False
+
+
 def test_filter_text_format(capsys):
     code, out, _ = run(capsys, "filter", "--matrix", "[[1,3],[3,1]]",
                        "--graph", "platonic:octahedron", "--text")

@@ -71,6 +71,8 @@ def test_passes_filters_examples():
     assert not passes_filters(((0, 1, 2), (1, 1, 1), (1, 2, 0)))
     # weak symmetry failure
     assert not passes_filters(((0, 3), (0, 3)))
+    # weak symmetry failure beside connected, consistent mutual pairs
+    assert not passes_filters(((0, 1, 2), (1, 1, 1), (0, 1, 2)))
     # connectivity failure
     assert not passes_filters(((3, 0), (0, 3)))
     # disconnected and inconsistent at once
@@ -196,6 +198,18 @@ def test_negative_entry_is_a_value_error(call, a):
 def test_negative_entry_fails_the_filter():
     assert not passes_filters([[4, -1], [-1, 4]])
     assert not passes_filters([[2, 1], [-1, 4]])
+
+
+@pytest.mark.parametrize("call", [
+    class_ratios,
+    lambda a: sizes_for(a, 8),
+    build_witness,
+], ids=["class_ratios", "sizes_for", "build_witness"])
+def test_one_sided_pair_beside_mutual_pairs_has_no_ratios(call):
+    # a_02 > 0 = a_20, but the mutual pairs alone form a connected,
+    # consistent color graph, whose walk would give the ratios 1:1:1
+    with pytest.raises(ValueError, match="not weakly symmetric"):
+        call(((0, 1, 2), (1, 1, 1), (0, 1, 2)))
 
 
 def test_canonical_dedup_is_idempotent_and_sorted():

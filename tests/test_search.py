@@ -98,6 +98,16 @@ def test_negative_entry_is_unrealizable():
         SearchOutcome(False, None, 0)
 
 
+def test_one_sided_pair_beside_mutual_pairs_is_unrealizable():
+    # not weakly symmetric, though its mutual pairs alone are connected
+    # and consistent
+    cube = platonic("cube")
+    a = ((0, 1, 2), (1, 1, 1), (0, 1, 2))
+    assert find_perfect_coloring(cube, a) == SearchOutcome(False, None, None)
+    assert find_perfect_coloring(cube, a, mode="count_all") == \
+        SearchOutcome(False, None, 0)
+
+
 def test_find_perfect_coloring_errors():
     k4 = platonic("tetrahedron")
     with pytest.raises(ValueError, match="unknown mode"):

@@ -32,23 +32,25 @@ later, so a dropped prefix has no kept completion.  By (c) at depth m-2
 every component has an entry to color m-1, and weak symmetry makes row
 m-1 join them all, so the last row needs no connectivity pass: the leaf
 only checks, with v as the ratios, that the matrix is the smallest of
-its ratio-order-keeping conjugates.  Rows are drawn in lexicographic
-order, so the leaves arrive sorted, and each class is emitted exactly
-once, without a set of keys or a sort.
+its ratio-order-keeping conjugates.  There v is nondecreasing, so these
+are the relabelings inside its runs of tied ratios, built once per tie
+pattern.  Rows are drawn in lexicographic order, so the leaves arrive
+sorted, and each class is emitted exactly once, without a set of keys
+or a sort.
 
 Cache policy: memoize results keyed by their public arguments (here
 enumerate_cams per (m, k)), never per-call tables such as the
-compositions, their prefix table and the prefixes of each box, which
-each scan rebuilds.
+compositions, their prefix table, the prefixes of each box and the
+relabelings of each tie pattern, which each scan rebuilds.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import chain, groupby, permutations, product
+from itertools import chain, combinations, groupby, permutations, product
 from math import comb, gcd
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .cam import (
     ColorAdjacencyMatrix,
@@ -75,8 +77,12 @@ class EnumerationResult:
 
 
 def _compositions(k: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """All m-tuples of nonnegative integers summing to k, lexicographic."""
-    return tuple(c for c in product(range(k + 1), repeat=m) if sum(c) == k)
+    """All m-tuples of nonnegative integers summing to k, lexicographic:
+    the gaps between m-1 bars taken in lexicographic order from k+m-1
+    slots (stars and bars)."""
+    end = (k + m - 1,)
+    return tuple(tuple(y - x - 1 for x, y in zip((-1,) + bars, bars + end))
+                 for bars in combinations(range(k + m - 1), m - 1))
 
 
 def generate_row_sum_matrices(m: int, k: int):
@@ -114,39 +120,47 @@ def canonical_form(A) -> ColorAdjacencyMatrix:
     Those conjugates are walked directly: sort the colors by ratio, then
     permute the colors freely inside each block of tied ratios.
     """
-    return ColorAdjacencyMatrix(_smallest_conjugate(entries_of(A)))
+    return ColorAdjacencyMatrix(_canonical(entries_of(A), {}))
 
 
-def _smallest_conjugate(a):
-    """The smallest conjugate of a whose ratios stay nondecreasing."""
-    return min(tuple(tuple(a[i][j] for j in perm) for i in perm)
-               for perm in _relabelings(_ratios(a)))
+def _canonical(a, tables):
+    """The smallest conjugate of a whose ratios stay nondecreasing.
+
+    Sort the colors by ratio, then take the smallest of the relabelings
+    inside the runs of tied ratios.
+    """
+    ratios = _ratios(a)
+    order = sorted(range(len(a)), key=ratios.__getitem__)
+    a = tuple(tuple(a[i][j] for j in order) for i in order)
+    relabelings = _relabelings(sorted(ratios), tables)
+    return min((a, *(tuple(map(get, get(a))) for get in relabelings)))
 
 
-def _relabelings(ratios):
-    """The permutations that keep ratios nondecreasing once sorted; for
-    sorted ratios the identity comes first."""
-    order = sorted(range(len(ratios)), key=ratios.__getitem__)
-    blocks = [tuple(g) for _, g in groupby(order, key=ratios.__getitem__)]
-    return (tuple(chain.from_iterable(p))
-            for p in product(*map(permutations, blocks)))
+def _relabelings(w, tables):
+    """Itemgetters for the relabelings other than the identity inside
+    the runs of tied values of the nondecreasing w, built once per tie
+    pattern in tables."""
+    ties = tuple(map(eq, w, w[1:]))
+    if ties not in tables:
+        runs = [tuple(g) for _, g in groupby(range(len(w)), key=w.__getitem__)]
+        perms = product(*map(permutations, runs))
+        next(perms)
+        tables[ties] = [itemgetter(*chain.from_iterable(p)) for p in perms]
+    return tables[ties]
 
 
-def _is_smallest(a, ratios) -> bool:
-    """True iff a, with sorted ratios, is the smallest of its conjugates
-    whose ratios stay nondecreasing.  Each conjugate is built row by row
-    and dropped at its first row that differs from a's."""
-    perms = _relabelings(ratios)
-    next(perms)
-    for perm in perms:
-        get = itemgetter(*perm)
-        for row, p in zip(a, perm):
-            other = get(a[p])
+def _smaller(a, relabelings) -> bool:
+    """True iff one of relabelings makes a smaller.  Each conjugate is
+    built row by row and dropped at its first row that differs from
+    a's."""
+    for get in relabelings:
+        for row, other in zip(a, get(a)):
+            other = get(other)
             if other != row:
                 if other < row:
-                    return False
+                    return True
                 break
-    return True
+    return False
 
 
 def canonical_dedup(candidates) -> list[ColorAdjacencyMatrix]:
@@ -155,7 +169,8 @@ def canonical_dedup(candidates) -> list[ColorAdjacencyMatrix]:
     The input matrices must pass passes_filters (their ratios must at
     least be defined).
     """
-    keys = set(map(_smallest_conjugate, map(entries_of, candidates)))
+    tables: dict[tuple[bool, ...], list] = {}
+    keys = {_canonical(entries_of(A), tables) for A in candidates}
     return [ColorAdjacencyMatrix(key) for key in sorted(keys)]
 
 
@@ -226,6 +241,7 @@ def _scan_range(m: int, k: int, lo: int, hi: int):
         for i in range(1, m):
             by_prefix.setdefault(c[:i], []).append(c)
     boxes: dict[tuple[int, ...], list] = {}
+    tables: dict[tuple[bool, ...], list] = {}
     support = {c: sum(1 << j for j, x in enumerate(c) if x) for c in comps}
     out = []
     rows: list[tuple[int, ...]] = [()] * m
@@ -251,11 +267,13 @@ def _scan_range(m: int, k: int, lo: int, hi: int):
             if w is None:
                 continue
             ties = [t for t in members[:-1] if w[t] == w[i]]
+            if i == m - 1:
+                relabelings = _relabelings(w, tables)
             for c in cands:
                 rows[i] = c
                 if i == m - 1:
                     a = tuple(rows)
-                    if _is_smallest(a, w):
+                    if not _smaller(a, relabelings):
                         out.append(a)
                     continue
                 mask = reach | support[c]

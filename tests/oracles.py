@@ -7,6 +7,7 @@ meaningful.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 
@@ -141,6 +142,57 @@ def ratios_by_least_solution(a) -> tuple[int, ...] | None:
             ):
                 return v
     return None
+
+
+def canonical_by_definition(a) -> tuple[tuple[int, ...], ...]:
+    """The smallest of all m! conjugates of a whose permuted class ratios
+    stay nondecreasing.
+
+    The ratios are exact fractions, v_0 = 1 and v_j = v_i a_ij / a_ji
+    along a search from color 0, so a must be weakly symmetric,
+    connected and consistent.
+    """
+    m = len(a)
+    v = [None] * m
+    v[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(m):
+            if a[i][j] and v[j] is None:
+                v[j] = v[i] * a[i][j] / a[j][i]
+                stack.append(j)
+    return min(tuple(tuple(a[p[i]][p[j]] for j in range(m)) for i in range(m))
+               for p in permutations(range(m))
+               if all(v[p[i]] <= v[p[i + 1]] for i in range(m - 1)))
+
+
+def random_regular_edges(rng, n: int, k: int) -> list[tuple[int, int]]:
+    """The sorted edges of a connected simple k-regular graph on n
+    vertices, by redrawing a random pairing of n*k points until it has
+    no loop or repeated edge and is connected."""
+    points = [v for v in range(n) for _ in range(k)]
+    while True:
+        rng.shuffle(points)
+        edges = set()
+        for u, v in zip(points[::2], points[1::2]):
+            if u == v or (min(u, v), max(u, v)) in edges:
+                break
+            edges.add((min(u, v), max(u, v)))
+        else:
+            nbrs = [[] for _ in range(n)]
+            for u, v in edges:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            seen = {0}
+            stack = [0]
+            while stack:
+                for w in nbrs[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) == n:
+                return sorted(edges)
 
 
 def compositions(total: int, parts: int):

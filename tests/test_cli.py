@@ -11,7 +11,15 @@ from pathlib import Path
 import pytest
 
 import perfcol
+from perfcol.cam import (
+    class_ratios,
+    is_color_connected,
+    is_consistent,
+    is_weakly_symmetric,
+    parse_matrix,
+)
 from perfcol.cli import main
+from perfcol.enumeration import passes_filters
 from perfcol.graphs import parse_graph, platonic, verify_coloring
 
 
@@ -150,6 +158,48 @@ def test_filter_one_sided_pair_beside_mutual_pairs(capsys):
     assert not doc["weakly_symmetric"]
     assert doc["ratios"] is None and doc["sizes"] is None
     assert doc["passes_filters"] is False
+
+
+FILTER_CASES = {
+    "two-color": "[[0,3],[1,2]]",
+    "tied": "[[1,3],[3,1]]",
+    "three-color": "[[0,1,2],[1,0,2],[1,1,1]]",
+    "three-color-unsorted": "[[0,2,1],[1,1,1],[1,2,0]]",
+    "one-sided-pair": "[[0,1,2],[1,1,1],[0,1,2]]",
+    "disconnected": "[[3,0],[0,3]]",
+    "unsorted-ratios": "[[2,1],[3,0]]",
+    "no-row-sum": "[[0,2],[1,2]]",
+}
+
+
+@pytest.mark.parametrize("text", FILTER_CASES.values(), ids=FILTER_CASES.keys())
+def test_filter_report_equals_the_public_predicates(capsys, text):
+    code, out, _ = run(capsys, "filter", "--json", "--matrix", text)
+    A = parse_matrix(text)
+    try:
+        ratios = list(class_ratios(A).numerators)
+    except ValueError:
+        ratios = None
+    assert code == 0
+    assert json.loads(out) == {
+        "matrix": json.loads(text),
+        "m": A.m,
+        "row_sum": A.row_sum,
+        "weakly_symmetric": is_weakly_symmetric(A),
+        "consistent": is_consistent(A),
+        "color_connected": is_color_connected(A),
+        "ratios": ratios,
+        "passes_filters": passes_filters(A),
+    }
+
+
+def test_filter_negative_entry_is_rejected_like_the_predicate(capsys):
+    # the kernel rejects a negative entry; the CLI stops at the parser
+    assert not passes_filters(((3, 2), (-1, 6)))
+    code, out, err = run(capsys, "filter", "--json",
+                         "--matrix", "[[3,2],[-1,6]]")
+    assert (code, out) == (1, "")
+    assert err == "error: matrix entries must be nonnegative\n"
 
 
 def test_filter_text_format(capsys):

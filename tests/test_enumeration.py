@@ -3,7 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from itertools import permutations
+import time
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -20,6 +21,7 @@ from perfcol.cam import (
     sizes_for,
 )
 from perfcol.enumeration import (
+    _compositions,
     canonical_dedup,
     canonical_form,
     enumerate_cams,
@@ -29,7 +31,11 @@ from perfcol.enumeration import (
 from perfcol.golden import survivor_counts, two_color_matrices
 from perfcol.graphs import build_witness
 
-from oracles import consistent_by_cycles, count_valid_matrices
+from oracles import (
+    canonical_by_definition,
+    consistent_by_cycles,
+    count_valid_matrices,
+)
 
 
 # -------------------------------------------------------------- generation
@@ -51,6 +57,24 @@ def test_generate_is_lexicographic_and_exhaustive():
     assert seen == sorted(seen)
     assert len(set(seen)) == len(seen) == 9
     assert all(sum(row) == 2 for a in seen for row in a)
+
+
+def test_compositions_match_the_filter_definition():
+    for k in range(6):
+        for m in range(1, 6):
+            want = tuple(c for c in product(range(k + 1), repeat=m)
+                         if sum(c) == k)
+            assert _compositions(k, m) == want, (k, m)
+
+
+def test_compositions_do_not_walk_the_cube():
+    # the filter over product(range(4), repeat=12) took seconds for 364 rows
+    start = time.perf_counter()
+    rows = _compositions(3, 12)
+    assert time.perf_counter() - start < 0.5
+    assert len(rows) == comb(14, 11)
+    assert rows == tuple(sorted(set(rows)))
+    assert all(len(c) == 12 and sum(c) == 3 for c in rows)
 
 
 def test_generate_rejects_bad_arguments():
@@ -154,6 +178,16 @@ def test_canonical_form_is_conjugation_invariant():
         for _ in range(3):
             perm = tuple(rng.sample(range(5), 5))
             assert canonical_form(conjugate(a.entries, perm).entries) == a
+
+
+@pytest.mark.parametrize("m, k", [(4, 4), (5, 3)])
+def test_canonical_form_matches_definition_oracle(m, k):
+    rng = random.Random(m * 10 + k)
+    for a in enumerate_cams(m, k).survivors:
+        perm = tuple(rng.sample(range(m), m))
+        shuffled = conjugate(a.entries, perm).entries
+        want = canonical_by_definition(shuffled)
+        assert canonical_form(shuffled).entries == want == a.entries
 
 
 def test_canonical_dedup_examples():

@@ -19,7 +19,7 @@ from perfcol.graphs import (
 )
 from perfcol.search import SearchOutcome, find_perfect_coloring, platonic_survey
 
-from oracles import all_colorings_brute_force
+from oracles import all_colorings_brute_force, random_regular_edges
 
 
 # -------------------------------------------------------------- find one
@@ -153,23 +153,6 @@ def test_count_matches_brute_force_on_small_platonics():
                 assert tuple(got.witness.assignment) in want
 
 
-def _random_regular(rng, n, k):
-    """A connected simple k-regular graph on n vertices, by redrawing a
-    random pairing of n*k points until it has no loop or repeated edge."""
-    points = [v for v in range(n) for _ in range(k)]
-    while True:
-        rng.shuffle(points)
-        edges = set()
-        for u, v in zip(points[::2], points[1::2]):
-            if u == v or (min(u, v), max(u, v)) in edges:
-                break
-            edges.add((min(u, v), max(u, v)))
-        else:
-            graph = Graph.from_edges(n, sorted(edges))
-            if graph.is_connected():
-                return graph
-
-
 def test_search_matches_brute_force_on_random_regular_graphs():
     # graphs with few automorphisms: counts of 0 and 1 occur, and the
     # first witness must be the smallest coloring read in search order
@@ -177,7 +160,7 @@ def test_search_matches_brute_force_on_random_regular_graphs():
     realizable = 0
     for k, n in ((3, 8), (3, 10), (4, 7), (4, 9)):
         for _ in range(2):
-            g = _random_regular(rng, n, k)
+            g = Graph.from_edges(n, random_regular_edges(rng, n, k))
             order = g.bfs_order(0)
             for m in (2, 3):
                 for a in enumerate_cams(m, k).survivors:

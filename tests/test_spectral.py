@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from perfcol.cam import conjugate
 from perfcol.golden import platonic_char_polys, platonic_spectra
-from perfcol.graphs import platonic
+from perfcol.graphs import Graph, platonic
 from perfcol.spectral import IntPolynomial, char_poly, divides, spectral_filter
 
-from oracles import expand_factors
+from oracles import expand_factors, random_regular_edges
 
 
 def sympy_char_poly(rows) -> tuple[int, ...]:
@@ -74,6 +74,58 @@ def test_char_poly_against_sympy_seeded_random():
         rows = tuple(tuple(rng.randint(-9, 9) for _ in range(n))
                      for _ in range(n))
         assert char_poly(rows).coefficients == sympy_char_poly(rows), rows
+
+
+SPARSE = {
+    "all-zero": ((0, 0), (0, 0)),
+    "zero-row-and-column": ((0, 0, 0), (1, 2, 0), (0, 3, 1)),
+    "zero-row-in-the-middle": ((0, 2, 0), (0, 0, 0), (5, 0, 0)),
+    "three-zero-rows": ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 7),
+                        (0, 0, 0, 0)),
+    "one-entry-per-row": ((0, 0, 4), (3, 0, 0), (0, 5, 0)),
+    "one-entry-per-row-4": ((0, 0, 0, 9), (0, 0, 6, 0), (0, 8, 0, 0),
+                            (2, 0, 0, 0)),
+    "weights-above-one": ((3, 0, 0, 2), (0, 0, 5, 0), (0, 4, 0, 0),
+                          (2, 0, 0, 1)),
+    "negative-single-entries": ((0, -2, 0), (0, 0, -3), (4, 0, 0)),
+    "negative-with-zero-row": ((-1, 0, 0, 2), (0, 0, 0, 0), (0, -5, 3, 0),
+                               (1, 0, 0, -2)),
+}
+
+
+@pytest.mark.parametrize("rows", SPARSE.values(), ids=SPARSE.keys())
+def test_char_poly_sparse_rows_against_sympy(rows):
+    assert char_poly(rows).coefficients == sympy_char_poly(rows)
+
+
+def test_char_poly_seeded_sparse_random_against_sympy():
+    # about one entry in four nonzero: zero rows and columns are common
+    rng = random.Random(314159)
+    zero_rows = 0
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        rows = tuple(tuple(rng.choice((-3, 1, 2, 5)) if rng.random() < 0.25
+                           else 0 for _ in range(n)) for _ in range(n))
+        zero_rows += not all(map(any, rows))
+        assert char_poly(rows).coefficients == sympy_char_poly(rows), rows
+    assert zero_rows > 50
+
+
+def test_platonic_char_polys_against_sympy():
+    for name in ("tetrahedron", "cube", "octahedron",
+                 "dodecahedron", "icosahedron"):
+        rows = platonic(name).adjacency_matrix()
+        assert char_poly(rows).coefficients == sympy_char_poly(rows), name
+
+
+@pytest.mark.parametrize("k, n", [(3, 8), (3, 16), (3, 30), (4, 9),
+                                  (4, 20), (4, 30)])
+def test_char_poly_random_regular_graphs_against_sympy(k, n):
+    rng = random.Random(1000 * k + n)
+    for _ in range(2):
+        graph = Graph.from_edges(n, random_regular_edges(rng, n, k))
+        rows = graph.adjacency_matrix()
+        assert char_poly(rows).coefficients == sympy_char_poly(rows)
 
 
 def test_char_poly_invariant_under_conjugation_exhaustive_3x3():

@@ -34,14 +34,19 @@ m-1 join them all, so the last row needs no connectivity pass: the leaf
 only checks, with v as the ratios, that the matrix is the smallest of
 its ratio-order-keeping conjugates.  There v is nondecreasing, so these
 are the relabelings inside its runs of tied ratios, built once per tie
-pattern.  Rows are drawn in lexicographic order, so the leaves arrive
-sorted, and each class is emitted exactly once, without a set of keys
-or a sort.
+pattern.  Check (d) and the leaf are one prefix test, _smaller: does a
+relabeling that maps 0..d-1 onto itself make rows 0..d-1 smaller?  (d)
+asks it of the swaps of i with its tied colors at d = i+1, the leaf of
+its tie pattern's relabelings at d = m.  Rows are drawn in
+lexicographic order, so the leaves arrive sorted, and each class is
+emitted exactly once, without a set of keys or a sort.
 
-Cache policy: memoize results keyed by their public arguments (here
-enumerate_cams per (m, k)), never per-call tables such as the
-compositions, their prefix table, the prefixes of each box and the
-relabelings of each tie pattern, which each scan rebuilds.
+Cache policy: memoize results keyed by public arguments, never per-call
+tables.  The memo sites: enumerate_cams per (m, k), unbounded;
+spectral._graph_char_poly per Graph, at most 64; golden.load per file
+name, at most the five shipped files.  Each scan rebuilds its tables:
+the compositions, their prefix table, the prefixes of each box, the
+swap getter of each color pair and the relabelings of each tie pattern.
 """
 
 from __future__ import annotations
@@ -149,12 +154,15 @@ def _relabelings(w, tables):
     return tables[ties]
 
 
-def _smaller(a, relabelings) -> bool:
-    """True iff one of relabelings makes a smaller.  Each conjugate is
-    built row by row and dropped at its first row that differs from
-    a's."""
+def _smaller(rows, relabelings, depth: int) -> bool:
+    """True iff one of relabelings makes rows 0..depth-1 smaller.
+
+    Each relabeling maps 0..depth-1 onto itself, so later rows (unset or
+    stale in the scan) are never compared.  Each conjugate is built row
+    by row up to its first row that differs.
+    """
     for get in relabelings:
-        for row, other in zip(a, get(a)):
+        for row, other in zip(rows[:depth], get(rows)):
             other = get(other)
             if other != row:
                 if other < row:
@@ -232,7 +240,8 @@ def _scan_range(m: int, k: int, lo: int, hi: int):
     (members, support mask of its rows), and drops row i by the module's
     checks: (a) consistency, (b) ratio order, (c) a closed component and
     (d) a smaller swap of tied colors.  After (c) at depth m-2 the last
-    row joins a single component, so the leaf only tests canonicity.
+    row joins a single component, so the leaf only tests canonicity, by
+    the prefix test of (d).
     """
     comps = _compositions(k, m)
     by_prefix: dict[tuple[int, ...], list[tuple[int, ...]]] = {
@@ -242,6 +251,9 @@ def _scan_range(m: int, k: int, lo: int, hi: int):
             by_prefix.setdefault(c[:i], []).append(c)
     boxes: dict[tuple[int, ...], list] = {}
     tables: dict[tuple[bool, ...], list] = {}
+    swap = {(t, i): itemgetter(*(t if x == i else i if x == t else x
+                                 for x in range(m)))
+            for t, i in combinations(range(m), 2)}
     support = {c: sum(1 << j for j, x in enumerate(c) if x) for c in comps}
     out = []
     rows: list[tuple[int, ...]] = [()] * m
@@ -266,19 +278,18 @@ def _scan_range(m: int, k: int, lo: int, hi: int):
             w = _extend(v, col, prefix, touched, members)
             if w is None:
                 continue
-            ties = [t for t in members[:-1] if w[t] == w[i]]
-            if i == m - 1:
-                relabelings = _relabelings(w, tables)
+            relabelings = (
+                _relabelings(w, tables) if i == m - 1 else
+                [swap[t, i] for t in members[:-1] if w[t] == w[i]])
             for c in cands:
                 rows[i] = c
                 if i == m - 1:
-                    a = tuple(rows)
-                    if not _smaller(a, relabelings):
-                        out.append(a)
+                    if not _smaller(rows, relabelings, m):
+                        out.append(tuple(rows))
                     continue
                 mask = reach | support[c]
-                if mask >> (i + 1) and not any(  # checks (c) and (d)
-                        _swap_is_smaller(rows, t, i) for t in ties):
+                if mask >> (i + 1) and not _smaller(  # checks (c) and (d)
+                        rows, relabelings, i + 1):
                     descend(i + 1, w, rest + [(members, mask)])
 
     descend(0, [], [])
@@ -317,21 +328,3 @@ def _extend(v, col, prefix, touched, members):
     if any(w[x] > w[y] for x, y in zip(members, members[1:])):
         return None
     return w
-
-
-def _swap_is_smaller(rows, t: int, i: int) -> bool:
-    """True iff exchanging colors t < i makes rows 0..i smaller.
-
-    A row r other than t and i only has its entries t and i exchanged,
-    so it first differs from itself in column t.
-    """
-    for r in range(i + 1):
-        row = rows[r]
-        if r == t or r == i:
-            other = list(rows[t + i - r])
-            other[t], other[i] = other[i], other[t]
-            if tuple(other) != row:
-                return tuple(other) < row
-        elif row[t] != row[i]:
-            return row[i] < row[t]
-    return False

@@ -255,8 +255,8 @@ def construct_biregular(p: int, q: int, r: int, s: int) -> Graph:
         s: size of the second part.
 
     Raises:
-        ValueError: if p > s, q > r, p*r != q*s, or exactly one of p, q
-            is zero.
+        ValueError: if p > s or q > r (balanced degrees make these one
+            condition), p*r != q*s, or exactly one of p, q is zero.
     """
     p, q, r, s = (index(x) for x in (p, q, r, s))
     if min(p, q, r, s) < 0:
@@ -265,10 +265,8 @@ def construct_biregular(p: int, q: int, r: int, s: int) -> Graph:
         raise ValueError("degrees p and q must be zero together")
     if p * r != q * s:
         raise ValueError(f"part degrees do not balance: {p}*{r} != {q}*{s}")
-    if p > s:
+    if p > s:  # balanced degrees with q > r have p > s too
         raise ValueError(f"degree p={p} exceeds opposite part size s={s}")
-    if q > r:
-        raise ValueError(f"degree q={q} exceeds opposite part size r={r}")
     edges = [(u, r + w) for u, w in _biregular_edges(p, r, s)]
     return Graph.from_edges(r + s, edges)
 

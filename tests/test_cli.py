@@ -269,6 +269,25 @@ def test_search_all_counts(capsys):
     assert verify_coloring(platonic("tetrahedron"), doc["witness"]) is not None
 
 
+def test_search_text_exclusion_has_no_witness_line(capsys):
+    code, out, _ = run(capsys, "search", "--graph", "platonic:octahedron",
+                       "--matrix", "[[1,3],[3,1]]", "--text")
+    assert code == 0
+    assert out == "matrix: 1 3 | 3 1\nrealizable: no\n"
+
+
+def test_search_text_all_counts(capsys):
+    code, out, _ = run(capsys, "search", "--graph", "platonic:tetrahedron",
+                       "--matrix", "[[0,3],[1,2]]", "--all", "--text")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["matrix: 0 3 | 1 2", "realizable: yes",
+                         "labeled_colorings: 4"]
+    assert len(lines) == 4 and lines[3].startswith("witness: ")
+    witness = [int(c) for c in lines[3].split()[1:]]
+    assert verify_coloring(platonic("tetrahedron"), witness) is not None
+
+
 def test_search_dot_needs_witness(capsys):
     code, out, err = run(capsys, "search", "--graph", "platonic:octahedron",
                          "--matrix", "[[1,3],[3,1]]", "--dot")
@@ -426,6 +445,20 @@ def test_reproduce_paper_all_pass(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
     # 9 counts + 6 golden lists + 15 surveys + 5 polynomials + 1 bound
     assert len(lines) - 1 == 36
+
+
+def test_reproduce_paper_reports_a_wrong_count(capsys, monkeypatch):
+    import copy
+    import perfcol.cli as cli
+    counts = copy.deepcopy(cli.survivor_counts())
+    counts["2"]["3"] += 1
+    monkeypatch.setattr(cli, "survivor_counts", lambda: counts)
+    code, out, _ = run(capsys, "reproduce-paper")
+    assert code == 1
+    lines = out.strip().splitlines()
+    fails = [line for line in lines if line.startswith("FAIL ")]
+    assert len(fails) == 1 and "m=2 k=3" in fails[0]
+    assert lines[-1] == "FAILED: 35 of 36 artifacts reproduced"
 
 
 # ------------------------------------------------------------- entry point

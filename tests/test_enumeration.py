@@ -362,6 +362,52 @@ def test_survivor_orbits_count_every_valid_matrix(m, k):
     assert total == count_valid_matrices(m, k)
 
 
+@pytest.mark.parametrize("m,k,extend,d_calls,d_true,leaves,kept", [
+    (4, 5, 19427, 6782, 1558, 3383, 2042),
+    (5, 3, 7116, 7848, 2109, 941, 247),
+])
+def test_scan_funnel_is_pinned(monkeypatch, m, k, extend, d_calls, d_true,
+                               leaves, kept):
+    # a check that silently prunes less keeps every output pin but moves
+    # these counts: _extend per prefix, _smaller per node for check (d)
+    # (depth < m) and per leaf (depth == m)
+    import perfcol.enumeration as enumeration
+    calls = {"extend": 0, "d": [0, 0], "leaf": [0, 0]}
+    extend_fn, smaller_fn = enumeration._extend, enumeration._smaller
+
+    def counted_extend(*args):
+        calls["extend"] += 1
+        return extend_fn(*args)
+
+    def counted_smaller(rows, relabelings, depth):
+        result = smaller_fn(rows, relabelings, depth)
+        tally = calls["leaf" if depth == m else "d"]
+        tally[0] += 1
+        tally[1] += result
+        return result
+
+    monkeypatch.setattr(enumeration, "_extend", counted_extend)
+    monkeypatch.setattr(enumeration, "_smaller", counted_smaller)
+    out = enumeration._scan_range(m, k, 0, comb(k + m - 1, m - 1))
+    assert len(out) == kept
+    assert calls == {"extend": extend, "d": [d_calls, d_true],
+                     "leaf": [leaves, leaves - kept]}
+
+
+def test_smaller_ignores_rows_from_depth_on():
+    from operator import itemgetter
+    from perfcol.enumeration import _smaller
+    swap01 = itemgetter(1, 0, 2)
+    # exchanging colors 0 and 1 turns rows 0..1 of the first matrix into
+    # ((1,0,2),(2,1,0)) and leaves those of the second as they are,
+    # whatever stands in row 2 (unset during the scan, or any row)
+    for last in ((), (0, 0, 3), (3, 0, 0)):
+        assert _smaller([(1, 2, 0), (0, 1, 2), last], [swap01], 2)
+        assert not _smaller([(0, 1, 2), (1, 0, 2), last], [swap01], 2)
+    # at depth 3 row 2 is compared, and (0, 3, 0) < (3, 0, 0)
+    assert _smaller([(0, 1, 2), (1, 0, 2), (3, 0, 0)], [swap01], 3)
+
+
 def test_enumerate_threaded_matches_single():
     # the survivor order comes from concatenating the shards, not a sort
     import perfcol.enumeration as enumeration

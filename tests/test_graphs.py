@@ -86,6 +86,9 @@ def test_coloring_validation():
         Coloring((1, 2, 3), 2)
     with pytest.raises(ValueError):
         Coloring((1,), 0)
+    with pytest.raises(ValueError,
+                       match="coloring must cover at least one vertex"):
+        Coloring((), 1)
 
 
 # ----------------------------------------------------------------- catalog
@@ -197,6 +200,13 @@ def test_construct_biregular_errors():
         construct_biregular(0, 1, 2, 0)
     with pytest.raises(ValueError, match="nonnegative"):
         construct_biregular(1, 1, -2, -2)
+    # balanced degrees with q > r have p > s, so one size check covers both
+    for p in range(7):
+        for q in range(7):
+            for r in range(q):
+                for s in range(7):
+                    with pytest.raises(ValueError):
+                        construct_biregular(p, q, r, s)
 
 
 def test_construct_biregular_zero_degrees():

@@ -28,7 +28,8 @@ entries of a ColorAdjacencyMatrix as they are) and passes the nested
 int tuples to _-prefixed kernels.  The kernels, here and in the other
 modules, take already-normalized nested int tuples and never validate;
 internal callers that hold such tuples call the kernels, never the
-public functions.
+public functions.  Kernel output is wrapped by _cam without validation;
+matrices from outside still pass entries_of and the sign check.
 """
 
 from __future__ import annotations
@@ -93,6 +94,14 @@ class RationalVector:
         return ":".join(str(x) for x in self.numerators)
 
 
+def _cam(entries: Entries) -> ColorAdjacencyMatrix:
+    """Wrap kernel output unvalidated: entries must be a nonempty, square,
+    nested tuple of plain nonnegative ints, as a kernel hands it back."""
+    A = object.__new__(ColorAdjacencyMatrix)
+    object.__setattr__(A, "entries", entries)
+    return A
+
+
 def entries_of(A) -> Entries:
     """Normalize a matrix argument to nested tuples of ints.
 
@@ -106,10 +115,12 @@ def entries_of(A) -> Entries:
     if isinstance(A, ColorAdjacencyMatrix):
         return A.entries
     rows = tuple(map(tuple, A))
-    if {type(x) for row in rows for x in row} - {int}:
+    if set(map(type, chain.from_iterable(rows))) - {int}:
         rows = tuple(tuple(map(index, row)) for row in rows)
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix must be square")
+    n = len(rows)
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
     return rows
 
 

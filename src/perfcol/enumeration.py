@@ -39,10 +39,13 @@ relabeling that maps 0..d-1 onto itself make rows 0..d-1 smaller?  (d)
 asks it of the swaps of i with its tied colors at d = i+1, the leaf of
 its tie pattern's relabelings at d = m.  Rows are drawn in
 lexicographic order, so the leaves arrive sorted, and each class is
-emitted exactly once, without a set of keys or a sort.
+emitted exactly once, without a set of keys or a sort.  A kept leaf
+hands back its potentials reduced by their gcd: they are its class
+ratios, so no caller walks the survivors again to find them.
 
 Cache policy: memoize results keyed by public arguments, never per-call
-tables.  The memo sites: enumerate_cams per (m, k), unbounded;
+tables.  The memo sites: enumerate_cams per (m, k), unbounded, holding
+the survivors with their ratios;
 spectral._graph_char_poly per Graph, at most 64; golden.load per file
 name, at most the five shipped files.  Each scan rebuilds its tables:
 the compositions, their prefix table, the prefixes of each box, the
@@ -59,6 +62,7 @@ from operator import eq, itemgetter
 
 from .cam import (
     ColorAdjacencyMatrix,
+    _cam,
     _ratios,
     _ratios_or_none,
     _row_sum,
@@ -72,13 +76,15 @@ class EnumerationResult:
 
     raw_count is the size of the unfiltered row-sum space,
     binom(k+m-1, m-1)^m; survivors is the canonical deduplicated list,
-    sorted lexicographically.
+    sorted lexicographically; ratios[i] is the reduced class ratio
+    vector of survivors[i], class_ratios(survivors[i]).numerators.
     """
 
     m: int
     k: int
     raw_count: int
     survivors: tuple[ColorAdjacencyMatrix, ...]
+    ratios: tuple[tuple[int, ...], ...]
 
 
 def _compositions(k: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -100,8 +106,7 @@ def generate_row_sum_matrices(m: int, k: int):
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
-    for rows in product(_compositions(k, m), repeat=m):
-        yield ColorAdjacencyMatrix(rows)
+    yield from map(_cam, product(_compositions(k, m), repeat=m))
 
 
 def passes_filters(A) -> bool:
@@ -125,7 +130,7 @@ def canonical_form(A) -> ColorAdjacencyMatrix:
     Those conjugates are walked directly: sort the colors by ratio, then
     permute the colors freely inside each block of tied ratios.
     """
-    return ColorAdjacencyMatrix(_canonical(entries_of(A), {}))
+    return _cam(_canonical(entries_of(A), {}))
 
 
 def _canonical(a, tables):
@@ -179,7 +184,7 @@ def canonical_dedup(candidates) -> list[ColorAdjacencyMatrix]:
     """
     tables: dict[tuple[bool, ...], list] = {}
     keys = {_canonical(entries_of(A), tables) for A in candidates}
-    return [ColorAdjacencyMatrix(key) for key in sorted(keys)]
+    return list(map(_cam, sorted(keys)))
 
 
 def enumerate_cams(m: int, k: int, threads: int | None = None) -> EnumerationResult:
@@ -204,11 +209,12 @@ def enumerate_cams(m: int, k: int, threads: int | None = None) -> EnumerationRes
         # imported here, not at the top: only a threaded scan needs it
         from multiprocessing import Pool
         with Pool(processes=len(jobs)) as pool:
-            entries = chain.from_iterable(pool.starmap(_scan_range, jobs))
+            found = list(chain.from_iterable(pool.starmap(_scan_range, jobs)))
     else:
-        entries = _scan_range(m, k, 0, count)
-    result = EnumerationResult(
-        m, k, count ** m, tuple(map(ColorAdjacencyMatrix, entries)))
+        found = _scan_range(m, k, 0, count)
+    result = EnumerationResult(m, k, count ** m,
+                               tuple(_cam(rows) for rows, _ in found),
+                               tuple(ratios for _, ratios in found))
     _memo[(m, k)] = result
     return result
 
@@ -231,17 +237,17 @@ def _env_threads() -> int:
 def _scan_range(m: int, k: int, lo: int, hi: int):
     """Class representatives whose first row index lies in [lo, hi).
 
-    Returns, in lexicographic order, the entries of every matrix in that
-    slice that passes all four filters and is the smallest of its
-    ratio-order-keeping conjugates.  Row i is drawn from the compositions
-    whose first i entries lie in the box set by column i of the rows
-    above it, which keeps rows 0..i weakly symmetric.  A node carries
-    the potentials v of the placed colors and their components, each as
-    (members, support mask of its rows), and drops row i by the module's
-    checks: (a) consistency, (b) ratio order, (c) a closed component and
-    (d) a smaller swap of tied colors.  After (c) at depth m-2 the last
-    row joins a single component, so the leaf only tests canonicity, by
-    the prefix test of (d).
+    Returns, in lexicographic order, (entries, class ratios) for every
+    matrix in that slice that passes all four filters and is the
+    smallest of its ratio-order-keeping conjugates.  Row i is drawn from
+    the compositions whose first i entries lie in the box set by column
+    i of the rows above it, which keeps rows 0..i weakly symmetric.  A
+    node carries the potentials v of the placed colors and their
+    components, each as (members, support mask of its rows), and drops
+    row i by the module's checks: (a) consistency, (b) ratio order, (c)
+    a closed component and (d) a smaller swap of tied colors.  After (c)
+    at depth m-2 the last row joins a single component, so the leaf only
+    tests canonicity, by the prefix test of (d).
     """
     comps = _compositions(k, m)
     by_prefix: dict[tuple[int, ...], list[tuple[int, ...]]] = {
@@ -285,7 +291,8 @@ def _scan_range(m: int, k: int, lo: int, hi: int):
                 rows[i] = c
                 if i == m - 1:
                     if not _smaller(rows, relabelings, m):
-                        out.append(tuple(rows))
+                        g = gcd(*w)
+                        out.append((tuple(rows), tuple(x // g for x in w)))
                     continue
                 mask = reach | support[c]
                 if mask >> (i + 1) and not _smaller(  # checks (c) and (d)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import index
 
-from .cam import ColorAdjacencyMatrix, _load_json, _ratios, entries_of
+from .cam import ColorAdjacencyMatrix, _cam, _load_json, _ratios, entries_of
 
 
 @dataclass(frozen=True)
@@ -358,7 +358,7 @@ def verify_coloring(G: Graph, coloring) -> ColorAdjacencyMatrix | None:
             rows[i] = counts
         elif rows[i] != counts:
             return None
-    return ColorAdjacencyMatrix(tuple(tuple(row) for row in rows))
+    return _cam(tuple(map(tuple, rows)))
 
 
 def _as_coloring(coloring) -> Coloring:

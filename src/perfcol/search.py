@@ -203,8 +203,8 @@ def platonic_survey(name: str, m: int, threads: int | None = None):
     degree = graph.regularity()
     result = enumerate_cams(m, degree, threads=threads)
     survey: list[tuple[ColorAdjacencyMatrix, SearchOutcome]] = []
-    for candidate in result.survivors:
-        if _scaled(_ratios_or_none(candidate.entries), graph.n) is None:
+    for candidate, ratios in zip(result.survivors, result.ratios):
+        if _scaled(ratios, graph.n) is None:
             continue
         if not spectral_filter(candidate, graph):
             continue

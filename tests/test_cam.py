@@ -80,6 +80,62 @@ def test_entries_of_normalizes_to_plain_int_tuples(make, expected):
     assert all(type(x) is int for row in rows for x in row)
 
 
+def test_entries_of_checks_types_before_shape():
+    # a float is a TypeError even in a ragged matrix; ragged ints (bools
+    # among them) are a ValueError
+    with pytest.raises(TypeError):
+        entries_of([[0.5], [1, 2]])
+    for ragged in ([[0, 1], [1]], [[True, 1], [1]], [[0, 1, 2], [1, 0, 2]]):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            entries_of(ragged)
+
+
+def _assert_exact(A):
+    """A holds nested tuples of plain ints and equals its validated copy."""
+    assert type(A) is ColorAdjacencyMatrix
+    assert type(A.entries) is tuple
+    assert all(type(row) is tuple for row in A.entries)
+    assert all(type(x) is int for row in A.entries for x in row)
+    assert A == ColorAdjacencyMatrix(A.entries)
+    assert hash(A) == hash(ColorAdjacencyMatrix(A.entries))
+
+
+def test_kernel_output_is_wrapped_as_validated():
+    # canonical_form, canonical_dedup, verify_coloring and the row-sum
+    # stream wrap their results without a second validation
+    from itertools import islice
+
+    from perfcol.enumeration import (canonical_dedup, canonical_form,
+                                     generate_row_sum_matrices)
+    from perfcol.graphs import build_witness, verify_coloring
+    inputs = [[[0, 3], [1, 2]], np.array([[2, 1], [1, 2]]),
+              [[True, 2, 0], [1, 0, 2], [0, 1, 2]],
+              ((1, 2, 0), (1, 1, 1), (0, 1, 2))]
+    for a in inputs:
+        _assert_exact(canonical_form(a))
+        graph, coloring = build_witness(a)
+        _assert_exact(verify_coloring(graph, coloring))
+        _assert_exact(verify_coloring(graph, list(coloring.assignment)))
+    dedup = canonical_dedup(inputs + [conjugate(inputs[3], (2, 1, 0))])
+    assert len(dedup) == 4
+    for A in dedup:
+        _assert_exact(A)
+    for A in islice(generate_row_sum_matrices(3, 4), 500, 800):
+        _assert_exact(A)
+
+
+def test_boundary_still_rejects_negative_entries():
+    # parse_matrix and conjugate take entries from outside, so they keep
+    # the constructor's sign check
+    message = "matrix entries must be nonnegative"
+    with pytest.raises(ValueError, match=message):
+        ColorAdjacencyMatrix([[-1, 2], [2, -1]])
+    with pytest.raises(ValueError, match=message):
+        parse_matrix("[[0,3],[-1,4]]")
+    with pytest.raises(ValueError, match=message):
+        conjugate([[0, 3], [-1, 4]], [1, 0])
+
+
 def test_matrix_is_hashable():
     a = ColorAdjacencyMatrix([[1, 2], [2, 1]])
     b = ColorAdjacencyMatrix(((1, 2), (2, 1)))

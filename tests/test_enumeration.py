@@ -421,6 +421,39 @@ def test_enumerate_threaded_matches_single():
         assert threaded == single, (m, k)
 
 
+def _validated_sizes():
+    return [(int(m), int(k)) for m, per_k in survivor_counts().items()
+            for k in per_k] + [(5, 3)]
+
+
+def test_enumerate_ratios_are_the_class_ratios():
+    # the scan hands back the ratios it carried; one process and two
+    # processes give the same survivors and ratios
+    import perfcol.enumeration as enumeration
+    for m, k in _validated_sizes():
+        single = enumerate_cams(m, k, threads=1)
+        assert len(single.ratios) == len(single.survivors)
+        for a, ratios in zip(single.survivors, single.ratios):
+            assert ratios == class_ratios(a).numerators, (m, k, a)
+            assert type(a.entries) is tuple
+            assert all(type(row) is tuple for row in a.entries)
+            assert all(type(x) is int for row in a.entries for x in row)
+            assert a == ColorAdjacencyMatrix(a.entries)
+        enumeration._memo.pop((m, k), None)
+        try:
+            threaded = enumerate_cams(m, k, threads=2)
+        finally:
+            enumeration._memo[(m, k)] = single
+        assert threaded.survivors == single.survivors, (m, k)
+        assert threaded.ratios == single.ratios, (m, k)
+
+
+def test_enumerate_without_survivors_has_no_ratios():
+    for m in (3, 4):
+        result = enumerate_cams(m, 1)
+        assert result.survivors == result.ratios == ()
+
+
 def test_enumerate_recomputation_is_deterministic():
     import perfcol.enumeration as enumeration
     first = enumerate_cams(2, 4)

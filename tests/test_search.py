@@ -241,3 +241,17 @@ def test_survey_witnesses_verify():
             for a, outcome in platonic_survey(name, m):
                 if outcome.realizable:
                     assert verify_coloring(g, outcome.witness).entries == a.entries
+
+
+def test_survey_matches_public_pipeline():
+    # the survey's filter, rebuilt from public calls only: integer sizes,
+    # then the spectrum, then a search for each candidate left
+    from perfcol.spectral import spectral_filter
+    candidates = platonic_candidates()
+    for solid in sorted(candidates):
+        g = platonic(solid)
+        for m in sorted(candidates[solid]):
+            kept = [a for a in enumerate_cams(int(m), g.regularity()).survivors
+                    if sizes_for(a, g.n) is not None and spectral_filter(a, g)]
+            want = [(a, find_perfect_coloring(g, a)) for a in kept]
+            assert platonic_survey(solid, int(m)) == want, (solid, m)

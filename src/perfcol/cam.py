@@ -253,7 +253,7 @@ def _reaches(a: Entries, src: int, dst: int) -> bool:
         x = stack.pop()
         row = a[x]
         for y in range(m):
-            if x != y and row[y] and not (seen >> y) & 1:
+            if row[y] and not (seen >> y) & 1:
                 if y == dst:
                     return True
                 seen |= 1 << y
@@ -291,7 +291,7 @@ def is_consistent(A) -> bool:
     for u in range(m):
         row = a[u]
         for v in range(m):
-            if u != v and row[v] and not a[v][u] and _reaches(a, v, u):
+            if row[v] and not a[v][u] and _reaches(a, v, u):
                 return False
     return _potentials(a) is not None
 

@@ -1,10 +1,9 @@
 """Backtracking search for perfect colorings of a concrete graph.
 
 Given a connected k-regular graph and a candidate matrix A, the search
-colors vertices in breadth-first order from vertex 0, tries colors in
-ascending order, and skips a color whose class has reached its forced
-size.  Every vertex carries a domain, the bitmask of colors it may still
-take, and placing color i at v cuts domains by three rules:
+colors vertices in breadth-first order from vertex 0 and tries colors in
+ascending order.  Every vertex carries a domain, the bitmask of colors it
+may still take, and placing color i at v cuts domains by three rules:
 
   - an uncolored neighbor u of v now has x color-i neighbors, so it
     keeps only the colors whose row allows x of them (fits[i][x]);
@@ -23,15 +22,16 @@ and color order, so the first witness and the count do not change.  By
 the second and third rules no uncolored neighbor of a colored vertex
 holds a color the vertex has no room for, so a colored vertex never
 outgrows its row: it needs no overflow test, and its domain is not read.
-Each cut goes on one trail of (vertex, old domain) pairs, and
-backtracking restores the trail down to the mark of its depth.
+A placement pushes None on one trail, then a (vertex, old domain) pair
+per cut; backtracking restores the pairs down to that None.
 
-The class sizes are forced: a perfect coloring of a connected graph
-must split the n vertices proportionally to the class ratio vector, so
-a matrix whose ratios do not divide n evenly is rejected outright, as
-is any matrix with a negative entry or failing weak symmetry,
-consistency, or color connectivity (all necessary on a connected
-graph).
+Class sizes need no check in the loop: at a leaf each vertex has k
+colored neighbors, none beyond its row, and rows sum to k, so every
+count is exact; with a connected color graph every color is then used,
+at the size its ratios force (a_ij v_i = a_ji v_j).  So a matrix whose
+ratios do not divide n evenly is rejected up front, as is any matrix
+with a negative entry or failing weak symmetry, consistency, or color
+connectivity (all necessary on a connected graph).
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
         raise ValueError("search expects a connected graph")
     counting = mode == "count_all"
     ratios = _ratios_or_none(a)
-    quota = _scaled(ratios, G.n) if ratios else None
-    if quota is None:
+    if ratios is None or _scaled(ratios, G.n) is None:
         return SearchOutcome(False, None, 0 if counting else None)
 
     adj = G.adj
@@ -109,9 +108,8 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
     color = [0] * n
     counts = [[0] * m for _ in range(n)]
     dom = [(1 << m) - 1] * n
-    used = [0] * m
-    trail: list[tuple[int, int]] = []  # (vertex, its domain before a cut)
-    marks = [0] * n  # the trail length before the placement at each depth
+    # per placement: None, then (vertex, its domain before a cut) pairs
+    trail: list[tuple[int, int] | None] = []
     found = 0
     first: tuple[int, ...] | None = None
     idx = 0
@@ -126,17 +124,12 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
         else:
             v = order[idx]
             choices = dom[v] >> start << start
-            while choices:
-                bit = choices & -choices
-                i = bit.bit_length() - 1
-                if used[i] < quota[i]:
-                    break
-                choices ^= bit
             if choices:
                 # place color i at v, then cut the domains it rules out
-                marks[idx] = len(trail)
+                bit = choices & -choices
+                i = bit.bit_length() - 1
+                trail.append(None)
                 color[v] = i + 1
-                used[i] += 1
                 idx += 1
                 # colors whose quota at v is not met yet
                 row = a[i]
@@ -178,13 +171,12 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
         v = order[idx]
         i = color[v] - 1
         color[v] = 0
-        used[i] -= 1
         for u in adj[v]:
             counts[u][i] -= 1
-        mark = marks[idx]
-        while len(trail) > mark:
-            u, d = trail.pop()
-            dom[u] = d
+        cut = trail.pop()
+        while cut is not None:
+            dom[cut[0]] = cut[1]
+            cut = trail.pop()
         start = i + 1
     witness = Coloring(first, m) if first is not None else None
     return SearchOutcome(found > 0, witness, found if counting else None)

@@ -87,6 +87,9 @@ def test_invalid_matrices_are_unrealizable_not_errors():
     for a in (((0, 3), (3, 0)), ((3, 0), (0, 3))):
         outcome = find_perfect_coloring(k4, a)
         assert outcome == SearchOutcome(False, None, None)
+        # a leaf leaving a color unused would fail to build its Coloring
+        outcome = find_perfect_coloring(k4, a, mode="count_all")
+        assert outcome == SearchOutcome(False, None, 0)
 
 
 def test_negative_entry_is_unrealizable():
@@ -155,14 +158,19 @@ def test_count_matches_brute_force_on_small_platonics():
 
 def test_search_matches_brute_force_on_random_regular_graphs():
     # graphs with few automorphisms: counts of 0 and 1 occur, and the
-    # first witness must be the smallest coloring read in search order
+    # first witness must be the smallest coloring read in search order.
+    # (k, n, graphs drawn, color counts); later cases are appended so
+    # the graphs drawn before them stay the same
+    cases = ((3, 8, 2, (2, 3)), (3, 10, 2, (2, 3)), (4, 7, 2, (2, 3)),
+             (4, 9, 2, (2, 3)), (5, 8, 2, (2, 3)), (3, 8, 1, (4,)),
+             (4, 7, 1, (4,)))
     rng = random.Random(1)
     realizable = 0
-    for k, n in ((3, 8), (3, 10), (4, 7), (4, 9)):
-        for _ in range(2):
+    for k, n, draws, ms in cases:
+        for _ in range(draws):
             g = Graph.from_edges(n, random_regular_edges(rng, n, k))
             order = g.bfs_order(0)
-            for m in (2, 3):
+            for m in ms:
                 for a in enumerate_cams(m, k).survivors:
                     if sizes_for(a, n) is None:
                         continue

@@ -28,20 +28,23 @@ scan carries integer potentials v_0..v_i and the components of colors
   (d) for a color t < i in i's component with v_t = v_i, exchanging t
       and i makes rows 0..i lexicographically smaller.
 The pairs within a component, and so its ratios and ties, never change
-later, so a dropped prefix has no kept completion.  By (c) at depth m-2
-every component has an entry to color m-1, and weak symmetry makes row
-m-1 join them all, so the last row needs no connectivity pass: the leaf
-only checks, with v as the ratios, that the matrix is the smallest of
-its ratio-order-keeping conjugates.  There v is nondecreasing, so these
-are the relabelings inside its runs of tied ratios, built once per tie
-pattern.  Check (d) and the leaf are one prefix test, _smaller: does a
-relabeling that maps 0..d-1 onto itself make rows 0..d-1 smaller?  (d)
-asks it of the swaps of i with its tied colors at d = i+1, the leaf of
-its tie pattern's relabelings at d = m.  Rows are drawn in
-lexicographic order, so the leaves arrive sorted, and each class is
-emitted exactly once, without a set of keys or a sort.  A kept leaf
-hands back its potentials reduced by their gcd: they are its class
-ratios, so no caller walks the survivors again to find them.
+later, so a dropped prefix has no kept completion.  A component's mask,
+the support of its member rows, is check (c) by its bits above i and the
+test whether row i touches it by bit i.  A bit j < m-1 past the depth
+where a component last grew would have made row j touch it, so by (c)
+every component reaches color m-1: the last row joins them all, with no
+partition or connectivity pass.  The leaf only checks, with v as the
+ratios, that the matrix is the smallest of its ratio-order-keeping
+conjugates.  There v is nondecreasing, so these are the relabelings
+inside its runs of tied ratios, built once per tie pattern.  Check (d)
+and the leaf are one prefix test, _smaller: does a relabeling that maps
+0..d-1 onto itself make rows 0..d-1 smaller?  (d) asks it of the swaps
+of i with its tied colors at d = i+1, the leaf of its tie pattern's
+relabelings at d = m.  Rows are drawn in lexicographic order, so the
+leaves arrive sorted, and each class is emitted exactly once, without a
+set of keys or a sort.  A kept leaf hands back its potentials reduced by
+their gcd: they are its class ratios, so no caller walks the survivors
+again to find them.
 
 Cache policy: memoize results keyed by public arguments, never per-call
 tables.  The memo sites: enumerate_cams per (m, k), unbounded, holding
@@ -58,7 +61,7 @@ import os
 from dataclasses import dataclass
 from itertools import chain, combinations, groupby, permutations, product
 from math import comb, gcd
-from operator import eq, itemgetter
+from operator import eq, itemgetter, le
 
 from .cam import (
     ColorAdjacencyMatrix,
@@ -245,9 +248,9 @@ def _scan_range(m: int, k: int, lo: int, hi: int):
     node carries the potentials v of the placed colors and their
     components, each as (members, support mask of its rows), and drops
     row i by the module's checks: (a) consistency, (b) ratio order, (c)
-    a closed component and (d) a smaller swap of tied colors.  After (c)
-    at depth m-2 the last row joins a single component, so the leaf only
-    tests canonicity, by the prefix test of (d).
+    a closed component and (d) a smaller swap of tied colors.  Bit i of
+    a mask is the touched test; by (c) the last depth touches every
+    component, and its leaf only tests canonicity by the prefix test of (d).
     """
     comps = _compositions(k, m)
     by_prefix: dict[tuple[int, ...], list[tuple[int, ...]]] = {
@@ -272,14 +275,17 @@ def _scan_range(m: int, k: int, lo: int, hi: int):
                           if p in by_prefix]
         if not boxes[col]:
             return
-        touched, rest = [], []
-        for part in parts:
-            (touched if any(col[j] for j in part[0]) else rest).append(part)
-        members = sorted(chain.from_iterable(p[0] for p in touched))
-        members.append(i)
-        reach = 0
-        for _, mask in touched:
-            reach |= mask
+        if i == m - 1:  # by (c) every part reaches color m-1
+            touched, members = parts, range(m)
+        else:
+            touched, rest = [], []
+            for part in parts:
+                (touched if part[1] >> i & 1 else rest).append(part)
+            members = sorted(chain.from_iterable(p[0] for p in touched))
+            members.append(i)
+            reach = 0
+            for _, mask in touched:
+                reach |= mask
         for prefix, cands in boxes[col]:
             w = _extend(v, col, prefix, touched, members)
             if w is None:
@@ -332,6 +338,5 @@ def _extend(v, col, prefix, touched, members):
         done += part
         top = top * n // g
     w[-1] = top
-    if any(w[x] > w[y] for x, y in zip(members, members[1:])):
-        return None
-    return w
+    ws = [w[x] for x in members]
+    return w if all(map(le, ws, ws[1:])) else None

@@ -463,6 +463,22 @@ def test_reproduce_paper_reports_a_wrong_count(capsys, monkeypatch):
 
 # ------------------------------------------------------------- entry point
 
+def test_python_m_perfcol_runs_the_cli(capsys):
+    # works from a checkout: no console script, only PYTHONPATH=src
+    env = dict(os.environ, PYTHONPATH=str(Path(perfcol.__file__).parents[1]))
+    argv = ["enumerate", "-m", "2", "-k", "3"]
+    proc = subprocess.run([sys.executable, "-m", "perfcol", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (0, proc.stdout, "") == run(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-m", "perfcol", *argv,
+                           "--no-such-flag"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: perfcol ")
+    assert "unrecognized arguments: --no-such-flag" in proc.stderr
+
+
 def test_console_script_is_installed_and_deterministic():
     exe = shutil.which("perfcol")
     assert exe, "console script missing; install with pip install -e ."

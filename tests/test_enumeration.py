@@ -365,6 +365,7 @@ def test_survivor_orbits_count_every_valid_matrix(m, k):
 @pytest.mark.parametrize("m,k,extend,d_calls,d_true,leaves,kept", [
     (4, 5, 19427, 6782, 1558, 3383, 2042),
     (5, 3, 7116, 7848, 2109, 941, 247),
+    (5, 4, 95498, 62289, 18229, 11510, 3996),
 ])
 def test_scan_funnel_is_pinned(monkeypatch, m, k, extend, d_calls, d_true,
                                leaves, kept):

@@ -194,10 +194,11 @@ def enumerate_cams(m: int, k: int, threads: int | None = None) -> EnumerationRes
     """All color adjacency matrices of perfect m-colorings of connected
     k-regular graphs, up to conjugacy.
 
-    threads > 1 shards the scan by the first row across processes; the
-    result is identical to the single-threaded run.  When threads is
-    None the PERFCOL_THREADS environment variable applies, default 1.
-    Results are memoized per (m, k).
+    threads > 1 deals the first rows round-robin to that many processes
+    and merges their sorted, disjoint shards in order, which gives the
+    single-threaded result item for item.  When threads is None the
+    PERFCOL_THREADS environment variable applies, default 1.  Results
+    are memoized per (m, k).
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
@@ -207,14 +208,14 @@ def enumerate_cams(m: int, k: int, threads: int | None = None) -> EnumerationRes
         return _memo[(m, k)]
     count = comb(k + m - 1, m - 1)
     if threads > 1 and count >= 2 * threads:
-        bounds = [i * count // threads for i in range(threads + 1)]
-        jobs = [(m, k, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-        # imported here, not at the top: only a threaded scan needs it
+        # imported here, not at the top: only a threaded scan needs them
+        from heapq import merge
         from multiprocessing import Pool
-        with Pool(processes=len(jobs)) as pool:
-            found = list(chain.from_iterable(pool.starmap(_scan_range, jobs)))
+        with Pool(processes=threads) as pool:
+            found = list(merge(*pool.starmap(
+                _scan_range, [(m, k, j, threads) for j in range(threads)])))
     else:
-        found = _scan_range(m, k, 0, count)
+        found = _scan_range(m, k, 0, 1)
     result = EnumerationResult(m, k, count ** m,
                                tuple(_cam(rows) for rows, _ in found),
                                tuple(ratios for _, ratios in found))
@@ -237,11 +238,12 @@ def _env_threads() -> int:
     return threads
 
 
-def _scan_range(m: int, k: int, lo: int, hi: int):
-    """Class representatives whose first row index lies in [lo, hi).
+def _scan_range(m: int, k: int, first: int, stride: int):
+    """Class representatives whose first row index is congruent to
+    first modulo stride; (first, stride) = (0, 1) is the whole scan.
 
     Returns, in lexicographic order, (entries, class ratios) for every
-    matrix in that slice that passes all four filters and is the
+    matrix in that shard that passes all four filters and is the
     smallest of its ratio-order-keeping conjugates.  Row i is drawn from
     the compositions whose first i entries lie in the box set by column
     i of the rows above it, which keeps rows 0..i weakly symmetric.  A
@@ -254,7 +256,7 @@ def _scan_range(m: int, k: int, lo: int, hi: int):
     """
     comps = _compositions(k, m)
     by_prefix: dict[tuple[int, ...], list[tuple[int, ...]]] = {
-        (): comps[lo:hi]}
+        (): comps[first::stride]}
     for c in comps:
         for i in range(1, m):
             by_prefix.setdefault(c[:i], []).append(c)

@@ -19,6 +19,7 @@ connected component together with its coloring.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import index
 
@@ -49,7 +50,9 @@ class Graph:
             if len(set(nbrs)) != len(nbrs):
                 raise ValueError(f"duplicate neighbor at vertex {v}")
             for u in nbrs:
-                if v not in rows[u]:
+                row = rows[u]  # sorted: a binary search, not a scan
+                at = bisect_left(row, v)
+                if at == len(row) or row[at] != v:
                     raise ValueError(f"edge {v}-{u} missing its reverse")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", rows)

@@ -250,6 +250,9 @@ def test_color_connected_examples():
     assert not is_color_connected(
         [[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1]])
     assert is_color_connected([[0, 0, 3], [0, 0, 3], [1, 1, 1]])
+    # the only link is one-sided: color 0 has a neighbor of color 1,
+    # color 1 none of color 0
+    assert is_color_connected([[0, 1], [0, 1]])
 
 
 def test_color_connected_single_color():

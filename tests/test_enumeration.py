@@ -47,7 +47,7 @@ def test_generate_counts():
 
 
 def test_generate_count_formula():
-    for m, k in ((2, 3), (2, 5), (3, 3)):
+    for m, k in ((2, 1), (2, 3), (2, 5), (3, 1), (3, 3)):
         want = comb(k + m - 1, m - 1) ** m
         assert sum(1 for _ in generate_row_sum_matrices(m, k)) == want
 
@@ -389,7 +389,7 @@ def test_scan_funnel_is_pinned(monkeypatch, m, k, extend, d_calls, d_true,
 
     monkeypatch.setattr(enumeration, "_extend", counted_extend)
     monkeypatch.setattr(enumeration, "_smaller", counted_smaller)
-    out = enumeration._scan_range(m, k, 0, comb(k + m - 1, m - 1))
+    out = enumeration._scan_range(m, k, 0, 1)
     assert len(out) == kept
     assert calls == {"extend": extend, "d": [d_calls, d_true],
                      "leaf": [leaves, leaves - kept]}
@@ -409,10 +409,26 @@ def test_smaller_ignores_rows_from_depth_on():
     assert _smaller([(0, 1, 2), (1, 0, 2), (3, 0, 0)], [swap01], 3)
 
 
+@pytest.mark.parametrize("m,k", [(4, 5), (5, 3)])
+def test_scan_shards_merge_to_the_single_scan(m, k):
+    # shard j of N owns the first rows j, j+N, ...; each shard is sorted,
+    # so merging the shards in order gives the one-shard scan
+    from heapq import merge
+    from perfcol.enumeration import _scan_range
+    single = _scan_range(m, k, 0, 1)
+    first_row = {c: r for r, c in enumerate(_compositions(k, m))}
+    for stride in (2, 3, 4):
+        shards = [_scan_range(m, k, j, stride) for j in range(stride)]
+        assert list(merge(*shards)) == single, stride
+        for j, shard in enumerate(shards):
+            assert shard, (stride, j)
+            assert all(first_row[rows[0]] % stride == j for rows, _ in shard)
+
+
 def test_enumerate_threaded_matches_single():
-    # the survivor order comes from concatenating the shards, not a sort
+    # the survivor order comes from merging the sorted shards, not a sort
     import perfcol.enumeration as enumeration
-    for m, k, threads in ((3, 4, 3), (4, 3, 2), (5, 3, 2)):
+    for m, k, threads in ((3, 4, 3), (4, 3, 2), (5, 3, 2), (5, 3, 4)):
         single = enumerate_cams(m, k)
         enumeration._memo.pop((m, k), None)
         try:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,26 @@ def test_graph_normalizes_and_sorts():
 def test_graph_rejects_malformed(n, adj):
     with pytest.raises(ValueError):
         Graph(n, adj)
+
+
+@pytest.mark.parametrize("n,adj,edge", [
+    (3, ((1,), (), ()), "0-1"),
+    (3, ((1, 2), (0,), (1,)), "0-2"),      # 0 would sit before row 2's 1
+    (3, ((1,), (0,), (0,)), "2-0"),        # 2 would sit past row 0's end
+    (2, ((1,), (5,)), "0-1"),              # vertex 0 before vertex 1's range
+])
+def test_graph_missing_reverse_message_keeps_its_place(n, adj, edge):
+    with pytest.raises(ValueError, match=f"^edge {edge} missing its reverse$"):
+        Graph(n, adj)
+
+
+def test_graph_reverse_check_is_fast_on_a_star():
+    # a reverse-edge test that scans the hub's row is quadratic in its
+    # degree: seconds here instead of a fraction of one
+    start = time.perf_counter()
+    g = Graph.from_edges(20001, [(0, leaf) for leaf in range(1, 20001)])
+    assert time.perf_counter() - start < 1
+    assert g.degree(0) == 20000 and g.edge_count() == 20000
 
 
 def test_graph_from_edges_rejects():

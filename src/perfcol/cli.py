@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import comb, log10
 from pathlib import Path
@@ -55,6 +56,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) is None:
+            args.threads = _env_threads()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -146,6 +149,18 @@ def _positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
+
+
+def _env_threads() -> int:
+    text = os.environ.get("PERFCOL_THREADS") or "1"
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(
+            f"PERFCOL_THREADS must be a positive integer, got {text!r}")
+    return threads
 
 
 def _format_flags(p: argparse.ArgumentParser, dot: bool = False) -> None:
@@ -293,8 +308,7 @@ def cmd_search(args) -> int:
     outcome = find_perfect_coloring(graph, A, mode=mode)
     if args.fmt == "dot":
         if outcome.witness is None:
-            print("error: no witness coloring to draw", file=sys.stderr)
-            return 1
+            raise ValueError("no witness coloring to draw")
         doc = emit_dot(graph, outcome.witness)
     elif args.fmt == "text":
         lines = [f"matrix: {_matrix_line(A)}",

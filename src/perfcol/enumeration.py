@@ -57,11 +57,10 @@ swap getter of each color pair and the relabelings of each tie pattern.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import chain, combinations, groupby, permutations, product
 from math import comb, gcd
-from operator import eq, itemgetter, le
+from operator import eq, index, itemgetter, le
 
 from .cam import (
     ColorAdjacencyMatrix,
@@ -196,14 +195,15 @@ def enumerate_cams(m: int, k: int, threads: int | None = None) -> EnumerationRes
 
     threads > 1 deals the first rows round-robin to that many processes
     and merges their sorted, disjoint shards in order, which gives the
-    single-threaded result item for item.  When threads is None the
-    PERFCOL_THREADS environment variable applies, default 1.  Results
-    are memoized per (m, k).
+    single-threaded result item for item; None or 1 runs one process.
+    Results are memoized per (m, k).
     """
+    m, k = index(m), index(k)
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
-    if threads is None:
-        threads = _env_threads()
+    threads = 1 if threads is None else index(threads)
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     if (m, k) in _memo:
         return _memo[(m, k)]
     count = comb(k + m - 1, m - 1)
@@ -224,18 +224,6 @@ def enumerate_cams(m: int, k: int, threads: int | None = None) -> EnumerationRes
 
 
 _memo: dict[tuple[int, int], EnumerationResult] = {}
-
-
-def _env_threads() -> int:
-    text = os.environ.get("PERFCOL_THREADS") or "1"
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(
-            f"PERFCOL_THREADS must be a positive integer, got {text!r}")
-    return threads
 
 
 def _scan_range(m: int, k: int, first: int, stride: int):

@@ -189,7 +189,7 @@ def platonic_survey(name: str, m: int, threads: int | None = None):
     whose class sizes are integers on the solid's vertex count and whose
     characteristic polynomial divides the graph's, then decides
     realizability of each by search.  Returns (matrix, outcome) pairs in
-    the survivors' canonical order.  threads is passed to enumerate_cams.
+    canonical order.  threads as in enumerate_cams: None or 1 is one process.
     """
     graph = platonic(name)
     degree = graph.regularity()

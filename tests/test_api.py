@@ -6,6 +6,7 @@ These pins catch a public name or a flag that disappears in a refactor.
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import subprocess
 import sys
@@ -73,3 +74,29 @@ def test_import_leaves_multiprocessing_out():
         timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# the process's environment, standard streams and exit status belong to
+# the command line; the library takes everything as arguments
+PROCESS_STATE = {"os.environ", "os.getenv", "print", "sys.stdout",
+                 "sys.stderr", "sys.exit"}
+
+
+def test_only_the_cli_touches_process_state():
+    found = []
+    for path in sorted(Path(perfcol.__file__).parent.glob("*.py")):
+        if path.name in ("cli.py", "__main__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(
+                    node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in PROCESS_STATE]
+    assert found == []

@@ -91,6 +91,15 @@ def test_bad_threads_environment_is_domain_error(capsys, monkeypatch, value):
                    f"got {value!r}\n")
 
 
+def test_bad_threads_environment_stops_before_any_work(capsys, monkeypatch):
+    # the variable is read once, before the subcommand prints its range note
+    monkeypatch.setenv("PERFCOL_THREADS", "0")
+    code, out, err = run(capsys, "enumerate", "-m", "5", "-k", "3")
+    assert code == 1 and out == ""
+    assert err == ("error: PERFCOL_THREADS must be a positive integer, "
+                   "got '0'\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("survey", "--platonic", "tetrahedron", "--colors", "2"),
     ("reproduce-paper",),

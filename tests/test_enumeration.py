@@ -257,10 +257,36 @@ def test_canonical_dedup_is_idempotent_and_sorted():
 # ------------------------------------------------------------- enumeration
 
 def test_enumerate_rejects_bad_arguments():
+    import perfcol.enumeration as enumeration
     with pytest.raises(ValueError):
         enumerate_cams(0, 3)
     with pytest.raises(ValueError):
         enumerate_cams(2, -1)
+    # the arguments are checked before the memo is consulted
+    enumerate_cams(2, 3)
+    for threads in (0, -4):
+        with pytest.raises(ValueError):
+            enumerate_cams(2, 3, threads=threads)
+    with pytest.raises(TypeError):
+        enumerate_cams(2.0, 3)
+    with pytest.raises(TypeError):
+        enumerate_cams(2, 3, threads=1.5)
+    enumeration._memo.pop((1, 3), None)
+    result = enumerate_cams(True, 3)
+    assert type(result.m) is int and result == enumerate_cams(1, 3)
+
+
+def test_enumerate_reads_no_environment(monkeypatch):
+    # PERFCOL_THREADS belongs to the command line: the library ignores it
+    import perfcol.enumeration as enumeration
+    single = enumerate_cams(3, 3)
+    monkeypatch.setenv("PERFCOL_THREADS", "x")
+    enumeration._memo.pop((3, 3), None)
+    try:
+        again = enumerate_cams(3, 3)
+    finally:
+        enumeration._memo[(3, 3)] = single
+    assert again == single and len(again.survivors) == 18
 
 
 def test_enumerate_single_color():

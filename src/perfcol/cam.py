@@ -346,7 +346,7 @@ def _ratios(a: Entries) -> tuple[int, ...]:
 
 def sizes_for(A, n: int) -> tuple[int, ...] | None:
     """Scale class_ratios(A) to sum to n, or None if no integer scaling exists."""
-    return _scaled(_ratios(entries_of(A)), n)
+    return _scaled(_ratios(entries_of(A)), index(n))
 
 
 def _scaled(ratios: tuple[int, ...], n: int) -> tuple[int, ...] | None:

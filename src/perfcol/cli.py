@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from math import comb, log10
 from pathlib import Path
 
 from .cam import (
@@ -154,13 +153,10 @@ def _positive(text: str) -> int:
 def _env_threads() -> int:
     text = os.environ.get("PERFCOL_THREADS") or "1"
     try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
+        return _positive(text)
+    except argparse.ArgumentTypeError:
         raise ValueError(
-            f"PERFCOL_THREADS must be a positive integer, got {text!r}")
-    return threads
+            f"PERFCOL_THREADS must be a positive integer, got {text!r}") from None
 
 
 def _format_flags(p: argparse.ArgumentParser, dot: bool = False) -> None:
@@ -187,19 +183,10 @@ def _emit(doc: str, args) -> None:
         sys.stdout.write(doc)
 
 
-def _range_notice(m: int | None, k: int | None, cost: str = "") -> None:
+def _range_notice(m: int | None, k: int | None) -> None:
     if (m is not None and m > 4) or (k is not None and k > 5):
         print("note: outside the validated range (m <= 4, k <= 5); "
-              "results are unvalidated" + cost, file=sys.stderr)
-
-
-def _scan_cost(m: int, k: int) -> str:
-    """The size of the row-sum space, binom(k+m-1, m-1)^m, exact while
-    it is short enough to print."""
-    rows = comb(k + m - 1, m - 1)
-    digits = m * log10(rows)
-    size = str(rows ** m) if digits < 30 else f"about 10^{digits:.0f}"
-    return f"; the scan covers a row-sum space of {size} matrices"
+              "results are unvalidated", file=sys.stderr)
 
 
 def _load_graph(source: str):
@@ -222,8 +209,7 @@ def _matrix_line(A) -> str:
 # ------------------------------------------------------------- subcommands
 
 def cmd_enumerate(args) -> int:
-    _range_notice(args.colors, args.degree,
-                  _scan_cost(args.colors, args.degree))
+    _range_notice(args.colors, args.degree)
     result = enumerate_cams(args.colors, args.degree, threads=args.threads)
     if args.count_only:
         doc = f"{len(result.survivors)}\n"

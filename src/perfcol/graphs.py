@@ -91,6 +91,9 @@ class Graph:
 
     def bfs_order(self, start: int = 0) -> list[int]:
         """Vertices reachable from start, in breadth-first order."""
+        start = index(start)
+        if not 0 <= start < self.n:
+            raise ValueError(f"vertex {start} out of range for n={self.n}")
         seen = [False] * self.n
         seen[start] = True
         order = [start]

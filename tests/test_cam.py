@@ -21,7 +21,11 @@ from perfcol.cam import (
     sizes_for,
 )
 
-from oracles import consistent_by_cycles, ratios_by_least_solution
+from oracles import (
+    compositions,
+    consistent_by_cycles,
+    ratios_by_least_solution,
+)
 
 
 # ---------------------------------------------------------------- types
@@ -282,18 +286,11 @@ def test_class_ratios_rejects_invalid():
 def _valid_small_matrices(m, k):
     """All weakly symmetric, consistent, color-connected m x m row-sum-k."""
     out = []
-    for mat in product(_compositions(k, m), repeat=m):
+    for mat in product(compositions(k, m), repeat=m):
         if (is_weakly_symmetric(mat) and is_color_connected(mat)
                 and is_consistent(mat)):
             out.append(mat)
     return out
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        return [(total,)]
-    return [(h,) + t for h in range(total + 1)
-            for t in _compositions(total - h, parts - 1)]
 
 
 def test_class_ratios_satisfy_all_pair_relations():
@@ -344,6 +341,16 @@ def test_sizes_for_examples():
     assert sizes_for([[0, 3], [1, 2]], 8) == (2, 6)
     assert sizes_for([[0, 3], [1, 2]], 6) is None
     assert sizes_for([[0, 1, 2], [1, 0, 2], [1, 1, 1]], 4) == (1, 1, 2)
+
+
+def test_sizes_for_takes_only_an_integer_n():
+    # n is an integer count: 8.0 would otherwise give float sizes
+    with pytest.raises(TypeError):
+        sizes_for([[0, 3], [1, 2]], 8.0)
+    with pytest.raises(TypeError):
+        sizes_for([[0, 3], [1, 2]], "8")
+    assert sizes_for([[1]], True) == (1,)
+    assert sizes_for([[0, 3], [1, 2]], np.int64(8)) == (2, 6)
 
 
 def test_sizes_for_rejects_nonpositive_n():

@@ -89,6 +89,13 @@ def test_graph_traversal_helpers():
     assert sub.n == 3 and sub.is_connected()
     assert g.regularity() is None
     assert g.degree(1) == 2 and g.degree(3) == 0
+    # a start outside 0..n-1 is an error, not a wrapped index
+    for v in (-1, 4):
+        message = f"vertex {v} out of range for n=4"
+        with pytest.raises(ValueError, match=message):
+            g.bfs_order(v)
+        with pytest.raises(ValueError, match=message):
+            g.component(v)
 
 
 def test_empty_and_single_vertex_graphs():

@@ -35,17 +35,50 @@ matrices from outside still pass entries_of and the sign check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import chain
 from math import gcd, lcm
 from operator import index
-from typing import Sequence
 
 Entries = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class ColorAdjacencyMatrix:
+class _Value:
+    """Base of the public value types: the fields are a subclass's
+    annotations, stored once by its __init__ with _set, and equality
+    (same class only), hash and repr are those of a frozen dataclass."""
+
+    def __init_subclass__(cls):
+        if _Value in cls.__bases__:  # a further subclass keeps these fields
+            cls.__match_args__ = tuple(cls.__annotations__)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__match_args__, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ColorAdjacencyMatrix(_Value):
     """A square matrix of nonnegative integers a_ij, stored row-major.
 
     Entries are normalized to nested tuples, so instances are hashable
@@ -55,11 +88,11 @@ class ColorAdjacencyMatrix:
 
     entries: Entries
 
-    def __post_init__(self):
-        rows = _nonempty(entries_of(self.entries))
+    def __init__(self, entries):
+        rows = _nonempty(entries_of(entries))
         if any(x < 0 for row in rows for x in row):
             raise ValueError("matrix entries must be nonnegative")
-        object.__setattr__(self, "entries", rows)
+        self._set(rows)
 
     @property
     def m(self) -> int:
@@ -76,19 +109,18 @@ class ColorAdjacencyMatrix:
                           separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class RationalVector:
+class RationalVector(_Value):
     """Color class sizes up to scale, reduced so the entries are coprime."""
 
     numerators: tuple[int, ...]
 
-    def __post_init__(self):
-        nums = tuple(index(x) for x in self.numerators)
+    def __init__(self, numerators):
+        nums = tuple(index(x) for x in numerators)
         if not nums or any(x <= 0 for x in nums):
             raise ValueError("ratio entries must be positive")
         if gcd(*nums) != 1:
             raise ValueError("ratio entries must be coprime")
-        object.__setattr__(self, "numerators", nums)
+        self._set(nums)
 
     def __str__(self) -> str:
         return ":".join(str(x) for x in self.numerators)

@@ -57,13 +57,13 @@ swap getter of each color pair and the relabelings of each tie pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, groupby, permutations, product
 from math import comb, gcd
 from operator import eq, index, itemgetter, le
 
 from .cam import (
     ColorAdjacencyMatrix,
+    _Value,
     _cam,
     _ratios,
     _ratios_or_none,
@@ -72,8 +72,7 @@ from .cam import (
 )
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(_Value):
     """Outcome of one (m, k) enumeration run.
 
     raw_count is the size of the unfiltered row-sum space,
@@ -87,6 +86,9 @@ class EnumerationResult:
     raw_count: int
     survivors: tuple[ColorAdjacencyMatrix, ...]
     ratios: tuple[tuple[int, ...], ...]
+
+    def __init__(self, m, k, raw_count, survivors, ratios):
+        self._set(m, k, raw_count, survivors, ratios)
 
 
 def _compositions(k: int, m: int) -> tuple[tuple[int, ...], ...]:

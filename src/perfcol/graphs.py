@@ -20,25 +20,24 @@ connected component together with its coloring.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import index
 
-from .cam import ColorAdjacencyMatrix, _cam, _load_json, _ratios, entries_of
+from .cam import (ColorAdjacencyMatrix, _Value, _cam, _load_json, _ratios,
+                  entries_of)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Value):
     """An undirected simple graph on vertices 0 .. n-1."""
 
     n: int
     adj: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n = index(self.n)
+    def __init__(self, n, adj):
+        n = index(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         rows = tuple(tuple(sorted(index(u) for u in nbrs))
-                     for nbrs in self.adj)
+                     for nbrs in adj)
         if len(rows) != n:
             raise ValueError("adjacency table must have one row per vertex")
         for v, nbrs in enumerate(rows):
@@ -54,8 +53,7 @@ class Graph:
                 at = bisect_left(row, v)
                 if at == len(row) or row[at] != v:
                     raise ValueError(f"edge {v}-{u} missing its reverse")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", rows)
+        self._set(n, rows)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -122,16 +120,15 @@ class Graph:
         return Graph(len(keep), rows)
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Value):
     """Colors 1..m assigned to vertices 0..n-1, every color used."""
 
     assignment: tuple[int, ...]
     m: int
 
-    def __post_init__(self):
-        seq = tuple(index(c) for c in self.assignment)
-        m = index(self.m)
+    def __init__(self, assignment, m):
+        seq = tuple(index(c) for c in assignment)
+        m = index(m)
         if m < 1:
             raise ValueError("need at least one color")
         used = set(seq)
@@ -142,8 +139,7 @@ class Coloring:
         missing = set(range(1, m + 1)) - used
         if missing:
             raise ValueError(f"color {min(missing)} is unused")
-        object.__setattr__(self, "assignment", seq)
-        object.__setattr__(self, "m", m)
+        self._set(seq, m)
 
     def class_sizes(self) -> tuple[int, ...]:
         counts = [0] * self.m

@@ -36,17 +36,14 @@ connectivity (all necessary on a connected graph).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cam import (ColorAdjacencyMatrix, _ratios_or_none, _row_sum, _scaled,
-                  entries_of)
+from .cam import (ColorAdjacencyMatrix, _Value, _ratios_or_none, _row_sum,
+                  _scaled, entries_of)
 from .graphs import Coloring, Graph, platonic
 from .spectral import spectral_filter
 from .enumeration import enumerate_cams
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(_Value):
     """Result of one realizability search.
 
     In "first" mode labeled_count stays None; in "count_all" mode it
@@ -57,6 +54,9 @@ class SearchOutcome:
     realizable: bool
     witness: Coloring | None
     labeled_count: int | None
+
+    def __init__(self, realizable, witness, labeled_count):
+        self._set(realizable, witness, labeled_count)
 
 
 def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:

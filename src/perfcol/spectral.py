@@ -23,25 +23,23 @@ value integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add, getitem, index, mul
 
-from .cam import entries_of
+from .cam import _Value, entries_of
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Value):
     """A monic polynomial with integer coefficients, highest degree first."""
 
     coefficients: tuple[int, ...]
 
-    def __post_init__(self):
-        coeffs = tuple(index(c) for c in self.coefficients)
+    def __init__(self, coefficients):
+        coeffs = tuple(index(c) for c in coefficients)
         if not coeffs or coeffs[0] != 1:
             raise ValueError("polynomial must be monic")
-        object.__setattr__(self, "coefficients", coeffs)
+        self._set(coeffs)
 
     @property
     def degree(self) -> int:

@@ -7,10 +7,14 @@ from __future__ import annotations
 
 import argparse
 import ast
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import perfcol
 from perfcol.cli import build_parser
@@ -63,17 +67,121 @@ def test_cli_option_strings_are_pinned():
         assert options == expected, command
 
 
-def test_import_leaves_multiprocessing_out():
-    # only a threaded enumeration needs a process pool, so importing the
-    # package must not pay for loading multiprocessing
-    code = ("import perfcol, perfcol.cli, sys; "
-            "print('multiprocessing' in sys.modules)")
+def _run_fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this perfcol."""
     src = str(Path(perfcol.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_import_leaves_multiprocessing_out():
+    # only a threaded enumeration needs a process pool, so importing the
+    # package must not pay for loading multiprocessing
+    code = ("import perfcol, perfcol.cli, sys; "
+            "print('multiprocessing' in sys.modules)")
+    assert _run_fresh(code) == "False\n"
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    # every perfcol command starts by importing perfcol.cli; dataclasses
+    # would bring inspect, ast, dis and tokenize, most of the import time
+    code = ("import sys; before = set(sys.modules); import perfcol.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} "
+            "& (set(sys.modules) - before)))")
+    assert _run_fresh(code) == "[]\n"
+    found = []
+    for path in sorted(Path(perfcol.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {module}"
+                      for module in modules
+                      if module.split(".")[0] in ("dataclasses", "typing")]
+    assert found == []
+
+
+_CAM = perfcol.ColorAdjacencyMatrix(((0, 3), (1, 2)))
+_CAM_REPR = "ColorAdjacencyMatrix(entries=((0, 3), (1, 2)))"
+
+# one value of each public value type: its class, its fields by name in
+# declaration order (already normalized), and its repr
+VALUES = [
+    (perfcol.ColorAdjacencyMatrix, {"entries": ((0, 3), (1, 2))}, _CAM_REPR),
+    (perfcol.RationalVector, {"numerators": (1, 3)},
+     "RationalVector(numerators=(1, 3))"),
+    (perfcol.EnumerationResult,
+     {"m": 2, "k": 3, "raw_count": 16, "survivors": (_CAM,),
+      "ratios": ((1, 3),)},
+     f"EnumerationResult(m=2, k=3, raw_count=16, survivors=({_CAM_REPR},), "
+     "ratios=((1, 3),))"),
+    (perfcol.Graph, {"n": 3, "adj": ((1, 2), (0, 2), (0, 1))},
+     "Graph(n=3, adj=((1, 2), (0, 2), (0, 1)))"),
+    (perfcol.Coloring, {"assignment": (1, 2, 2), "m": 2},
+     "Coloring(assignment=(1, 2, 2), m=2)"),
+    (perfcol.SearchOutcome,
+     {"realizable": False, "witness": None, "labeled_count": None},
+     "SearchOutcome(realizable=False, witness=None, labeled_count=None)"),
+    (perfcol.SearchOutcome,
+     {"realizable": True, "witness": perfcol.Coloring((1, 2, 2), 2),
+      "labeled_count": 3},
+     "SearchOutcome(realizable=True, witness=Coloring(assignment=(1, 2, 2), "
+     "m=2), labeled_count=3)"),
+    (perfcol.IntPolynomial, {"coefficients": (1, -3, 2)},
+     "IntPolynomial(coefficients=(1, -3, 2))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES,
+                         ids=[cls.__name__ for cls, _, _ in VALUES])
+def test_value_types_keep_their_value_semantics(cls, fields, text):
+    x = cls(**fields)
+    assert repr(x) == text
+    assert cls.__match_args__ == tuple(fields)
+    assert [getattr(x, name) for name in fields] == list(fields.values())
+    y = cls(*fields.values())
+    assert x == y and not x != y and x is not y
+    assert hash(x) == hash(y) == hash(tuple(fields.values()))  # as dataclass
+    assert x != tuple(fields.values())
+    assert len({x, y}) == 1
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.other = 1
+    assert [getattr(x, name) for name in fields] == list(fields.values())
+    for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x),
+                 copy.copy(x)):
+        assert type(twin) is cls
+        assert twin == x and hash(twin) == hash(x) and repr(twin) == text
+
+
+def test_value_types_equal_only_their_own_class():
+    ratios = perfcol.RationalVector((1, 3))
+    poly = perfcol.IntPolynomial((1, 3))
+    assert ratios != poly and poly != ratios
+    assert ratios != (1, 3) and ratios != ((1, 3),)
+    assert perfcol.RationalVector((1, 3)) != perfcol.RationalVector((3, 1))
+
+    class Ratios(perfcol.RationalVector):
+        note: str  # not a field: the fields are those of RationalVector
+
+    assert repr(Ratios((1, 3))) == f"{Ratios.__qualname__}(numerators=(1, 3))"
+    assert Ratios((1, 3)) == Ratios((1, 3)) != Ratios((1, 2))
+    assert Ratios((1, 3)) != ratios and ratios != Ratios((1, 3))
+    match perfcol.Graph(2, ((1,), (0,))):
+        case perfcol.Graph(n, adj):
+            assert (n, adj) == (2, ((1,), (0,)))
+        case _:
+            pytest.fail("positional pattern did not match")
 
 
 # the process's environment, standard streams and exit status belong to

@@ -105,8 +105,7 @@ class ColorAdjacencyMatrix(_Value):
         return _row_sum(self.entries)
 
     def __str__(self) -> str:
-        return json.dumps([list(row) for row in self.entries],
-                          separators=(",", ":"))
+        return json.dumps(self.entries, separators=(",", ":"))
 
 
 class RationalVector(_Value):

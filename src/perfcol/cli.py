@@ -37,6 +37,7 @@ from .golden import (
     two_color_matrices,
 )
 from .graphs import (
+    PLATONIC_BUILDERS,
     build_witness,
     emit_dot,
     emit_edge_list,
@@ -48,7 +49,7 @@ from .graphs import (
 from .search import find_perfect_coloring, platonic_survey
 from .spectral import char_poly, spectral_filter
 
-SOLIDS = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
+SOLIDS = tuple(PLATONIC_BUILDERS)
 
 
 def main(argv=None) -> int:
@@ -57,7 +58,12 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) is None:
             args.threads = _env_threads()
-        return args.func(args)
+        doc, status = args.func(args)
+        if args.output:
+            Path(args.output).write_text(doc)
+        else:
+            sys.stdout.write(doc)
+        return status
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -176,13 +182,6 @@ def _output_flag(p: argparse.ArgumentParser) -> None:
                    help="write the result here instead of stdout")
 
 
-def _emit(doc: str, args) -> None:
-    if args.output:
-        Path(args.output).write_text(doc)
-    else:
-        sys.stdout.write(doc)
-
-
 def _range_notice(m: int | None, k: int | None) -> None:
     if (m is not None and m > 4) or (k is not None and k > 5):
         print("note: outside the validated range (m <= 4, k <= 5); "
@@ -198,17 +197,13 @@ def _load_graph(source: str):
     return parse_graph(text)
 
 
-def _matrix_rows(A) -> list[list[int]]:
-    return [list(row) for row in A.entries]
-
-
 def _matrix_line(A) -> str:
     return " | ".join(" ".join(str(x) for x in row) for row in A.entries)
 
 
 # ------------------------------------------------------------- subcommands
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[str, int]:
     _range_notice(args.colors, args.degree)
     result = enumerate_cams(args.colors, args.degree, threads=args.threads)
     if args.count_only:
@@ -223,31 +218,30 @@ def cmd_enumerate(args) -> int:
             "m": result.m,
             "k": result.k,
             "raw_count": result.raw_count,
-            "survivors": [_matrix_rows(A) for A in result.survivors],
+            "survivors": [A.entries for A in result.survivors],
         }) + "\n"
-    _emit(doc, args)
-    return 0
+    return doc, 0
 
 
-def cmd_filter(args) -> int:
+def cmd_filter(args) -> tuple[str, int]:
     A = parse_matrix(args.matrix)
     _range_notice(A.m, A.row_sum)
     ratios = _ratios_or_none(A.entries)
     report = {
-        "matrix": _matrix_rows(A),
+        "matrix": A.entries,
         "m": A.m,
         "row_sum": A.row_sum,
         "weakly_symmetric": is_weakly_symmetric(A),
         "consistent": is_consistent(A),
         "color_connected": is_color_connected(A),
-        "ratios": list(ratios) if ratios else None,
+        "ratios": ratios,
         "passes_filters": passes_filters(A),
     }
     if args.graph:
         graph = _load_graph(args.graph)
         sizes = _scaled(ratios, graph.n) if ratios else None
         report["graph_n"] = graph.n
-        report["sizes"] = list(sizes) if sizes else None
+        report["sizes"] = sizes
         report["spectral"] = spectral_filter(A, graph)
     if args.fmt == "text":
         lines = [f"matrix: {_matrix_line(A)}"]
@@ -262,11 +256,10 @@ def cmd_filter(args) -> int:
         doc = "\n".join(lines) + "\n"
     else:
         doc = json.dumps(report) + "\n"
-    _emit(doc, args)
-    return 0
+    return doc, 0
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> tuple[str, int]:
     A = parse_matrix(args.matrix)
     _range_notice(A.m, A.row_sum)
     graph, coloring = build_witness(A)
@@ -276,17 +269,16 @@ def cmd_witness(args) -> int:
         doc = emit_edge_list(graph, coloring)
     else:
         doc = json.dumps({
-            "matrix": _matrix_rows(A),
-            "sizes": list(minimal_class_sizes(A)),
+            "matrix": A.entries,
+            "sizes": minimal_class_sizes(A),
             "n": graph.n,
-            "edges": [[u, v] for u, v in graph.edges()],
-            "coloring": list(coloring.assignment),
+            "edges": graph.edges(),
+            "coloring": coloring.assignment,
         }) + "\n"
-    _emit(doc, args)
-    return 0
+    return doc, 0
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple[str, int]:
     A = parse_matrix(args.matrix)
     _range_notice(A.m, A.row_sum)
     graph = _load_graph(args.graph)
@@ -307,18 +299,16 @@ def cmd_search(args) -> int:
         doc = "\n".join(lines) + "\n"
     else:
         doc = json.dumps({
-            "matrix": _matrix_rows(A),
+            "matrix": A.entries,
             "n": graph.n,
             "realizable": outcome.realizable,
-            "witness": list(outcome.witness.assignment)
-            if outcome.witness else None,
+            "witness": outcome.witness and outcome.witness.assignment,
             "labeled_count": outcome.labeled_count,
         }) + "\n"
-    _emit(doc, args)
-    return 0
+    return doc, 0
 
 
-def cmd_survey(args) -> int:
+def cmd_survey(args) -> tuple[str, int]:
     _range_notice(args.colors, None)
     graph = platonic(args.platonic)
     results = platonic_survey(args.platonic, args.colors, threads=args.threads)
@@ -343,36 +333,26 @@ def cmd_survey(args) -> int:
             "degree": graph.regularity(),
             "colors": args.colors,
             "candidates": [{
-                "matrix": _matrix_rows(matrix),
+                "matrix": matrix.entries,
                 "realizable": outcome.realizable,
-                "witness": list(outcome.witness.assignment)
-                if outcome.witness else None,
+                "witness": outcome.witness and outcome.witness.assignment,
             } for matrix, outcome in results],
         }) + "\n"
-    _emit(doc, args)
-    return 0
+    return doc, 0
 
 
 # --------------------------------------------------------- reproduce-paper
 
-def cmd_reproduce(args) -> int:
-    lines: list[str] = []
-    failures = 0
-
-    def record(label: str, ok: bool) -> None:
-        nonlocal failures
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {label}")
-        if not ok:
-            failures += 1
-
+def cmd_reproduce(args) -> tuple[str, int]:
+    checks: list[tuple[str, bool]] = []
     counts = survivor_counts()
     for m_text, per_k in sorted(counts.items()):
         for k_text, expected in sorted(per_k.items()):
             m, k = int(m_text), int(k_text)
             result = enumerate_cams(m, k, threads=args.threads)
-            record(f"survivor count m={m} k={k}: "
-                   f"{len(result.survivors)} expected {expected}",
-                   len(result.survivors) == expected)
+            checks.append((f"survivor count m={m} k={k}: "
+                           f"{len(result.survivors)} expected {expected}",
+                           len(result.survivors) == expected))
 
     for label, published, m in (("two-color list", two_color_matrices(), 2),
                                 ("three-color list", three_color_matrices(), 3)):
@@ -381,9 +361,9 @@ def cmd_reproduce(args) -> int:
             ours = {A.entries for A in
                     enumerate_cams(m, k, threads=args.threads).survivors}
             theirs = {canonical_form(rows).entries for rows in matrices}
-            record(f"{label} k={k}: set match up to conjugacy "
-                   f"({len(matrices)} matrices)",
-                   ours == theirs and len(theirs) == len(matrices))
+            checks.append((f"{label} k={k}: set match up to conjugacy "
+                           f"({len(matrices)} matrices)",
+                           ours == theirs and len(theirs) == len(matrices)))
 
     candidates = platonic_candidates()
     for solid in SOLIDS:
@@ -398,23 +378,24 @@ def cmd_reproduce(args) -> int:
                   and len(theirs_all) == len(expected["candidates"])
                   and {key for key, real in ours.items() if not real}
                   == theirs_bad)
-            record(f"{solid} {m_text}-color survey: "
-                   f"{len(expected['candidates'])} candidates, "
-                   f"{len(expected['unrealizable'])} unrealizable", ok)
+            checks.append((f"{solid} {m_text}-color survey: "
+                           f"{len(expected['candidates'])} candidates, "
+                           f"{len(expected['unrealizable'])} unrealizable",
+                           ok))
 
     for solid, expected in sorted(platonic_char_polys().items()):
         ours = list(char_poly(platonic(solid).adjacency_matrix()).coefficients)
-        record(f"{solid} characteristic polynomial", ours == expected)
+        checks.append((f"{solid} characteristic polynomial", ours == expected))
 
     sizes = minimal_class_sizes([[1, 3], [3, 1]])
-    record(f"octahedron exclusion: minimal sizes {sizes} need "
-           f"{sum(sizes)} >= 8 vertices", sum(sizes) == 8)
+    checks.append((f"octahedron exclusion: minimal sizes {sizes} need "
+                   f"{sum(sizes)} >= 8 vertices", sum(sizes) == 8))
 
-    doc = "\n".join(lines) + "\n"
-    doc += f"{'OK' if not failures else 'FAILED'}: " \
-           f"{len(lines) - failures} of {len(lines)} artifacts reproduced\n"
-    _emit(doc, args)
-    return 1 if failures else 0
+    passed = sum(ok for _, ok in checks)
+    lines = [f"{'PASS' if ok else 'FAIL'}  {label}" for label, ok in checks]
+    lines.append(f"{'OK' if passed == len(checks) else 'FAILED'}: "
+                 f"{passed} of {len(checks)} artifacts reproduced")
+    return "\n".join(lines) + "\n", 0 if passed == len(checks) else 1
 
 
 if __name__ == "__main__":

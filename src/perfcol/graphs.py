@@ -157,15 +157,8 @@ def platonic(name: str) -> Graph:
     icosahedron.  Vertex counts and degrees are (4,3), (8,3), (6,4),
     (20,3), (12,5).
     """
-    builders = {
-        "tetrahedron": _tetrahedron,
-        "cube": _cube,
-        "octahedron": _octahedron,
-        "dodecahedron": _dodecahedron,
-        "icosahedron": _icosahedron,
-    }
     try:
-        return builders[name.strip().lower()]()
+        return PLATONIC_BUILDERS[name.strip().lower()]()
     except KeyError:
         raise ValueError(f"unknown Platonic solid: {name!r}") from None
 
@@ -210,6 +203,15 @@ def _icosahedron() -> Graph:
         edges.append((upper, lower))
         edges.append((upper, 6 + (t + 4) % 5))
     return Graph.from_edges(12, edges)
+
+
+PLATONIC_BUILDERS = {
+    "tetrahedron": _tetrahedron,
+    "cube": _cube,
+    "octahedron": _octahedron,
+    "dodecahedron": _dodecahedron,
+    "icosahedron": _icosahedron,
+}
 
 
 # ------------------------------------------------------------ constructions
@@ -388,7 +390,8 @@ def parse_graph(text: str) -> Graph:
             continue
         fields = line.split()
         if n is None:
-            if len(fields) != 1 or not fields[0].isdigit():
+            if (len(fields) != 1 or not fields[0].isascii()
+                    or not fields[0].isdigit()):
                 raise ValueError(f"line {lineno}: expected the vertex count")
             n = int(fields[0])
             continue

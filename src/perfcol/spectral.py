@@ -76,9 +76,7 @@ def char_poly(M) -> IntPolynomial:
     coeffs = [1]
     work = [list(row) for row in a]
     for i in range(1, n + 1):
-        quotient, remainder = divmod(-sum(map(getitem, work, range(n))), i)
-        if remainder:
-            raise ArithmeticError("trace not divisible; non-integer input?")
+        quotient = -sum(map(getitem, work, range(n))) // i
         coeffs.append(quotient)
         if i < n:
             for v in range(n):

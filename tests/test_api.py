@@ -208,3 +208,31 @@ def test_only_the_cli_touches_process_state():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name in PROCESS_STATE]
     assert found == []
+
+
+def test_only_main_writes_the_cli_document():
+    # each subcommand returns its document and main alone writes it to
+    # stdout or --output; the range note goes to stderr, and survey keeps
+    # its --dot-dir files
+    tree = ast.parse(Path(perfcol.__file__).with_name("cli.py").read_text())
+    found = []
+    for stmt in tree.body:
+        where = getattr(stmt, "name", "<module>")
+        if where == "main":
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.value, ast.Name):
+                name = f"{node.value.id}.{node.attr}"
+                if name in ("sys.stdout", "args.output"):
+                    found.append(f"{where}:{node.lineno} {name}")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if (isinstance(func, ast.Name) and func.id == "print"
+                        and "file" not in [kw.arg for kw in node.keywords]):
+                    found.append(f"{where}:{node.lineno} print to stdout")
+                elif (isinstance(func, ast.Attribute)
+                      and func.attr in ("write", "write_text", "write_bytes")
+                      and where != "cmd_survey"):
+                    found.append(f"{where}:{node.lineno} {func.attr}")
+    assert found == []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import resource
@@ -469,6 +470,130 @@ def test_reproduce_paper_reports_a_wrong_count(capsys, monkeypatch):
     fails = [line for line in lines if line.startswith("FAIL ")]
     assert len(fails) == 1 and "m=2 k=3" in fails[0]
     assert lines[-1] == "FAILED: 35 of 36 artifacts reproduced"
+
+
+# --------------------------------------------------------------- byte pins
+
+# Each command's exit status, the sha256 of its stdout, its exact stderr
+# and the sha256 of each file it writes under {tmp}/out.  "{tmp}" stands
+# for a fresh directory holding the graph files c6.txt and k4.json.
+EMPTY = hashlib.sha256(b"").hexdigest()
+NOTE = ("note: outside the validated range (m <= 4, k <= 5); "
+        "results are unvalidated\n")
+CLI_PINS = [
+    (("reproduce-paper", "--threads", "1"), 0,
+     "0d99063c2ddbb909a845910bf9be1ff183e64a7fe227502f37cd8facd713c30b",
+     "", {}),
+    (("enumerate", "-m", "3", "-k", "3"), 0,
+     "88e8afcb3f6803d595439def342a0b8575916f7026d85999fb93b7a8a2dd0b6f",
+     "", {}),
+    (("enumerate", "-m", "3", "-k", "3", "--text"), 0,
+     "5787632add844dcc4a915ceb83cf35dbcb70de7514ecbb5396e97a4e4ebbc65d",
+     "", {}),
+    (("enumerate", "-m", "3", "-k", "3", "--count-only"), 0,
+     "7ee29791fc17e986b97128845622b077fb45e349fdb80523fac9dba879b4ad60",
+     "", {}),
+    (("enumerate", "-m", "2", "-k", "4", "-o", "{tmp}/out/cams.json"), 0,
+     EMPTY, "",
+     {"cams.json":
+      "bfa93b0727b9820b65431ccf352a92ec0bc6a527fc5952bbc1185d3daa059d3c"}),
+    (("filter", "--matrix", "[[0,3],[1,2]]"), 0,
+     "4ca872e8652ef7c72e39d1bb50cde33da37d44c5ee929b4cd45dd9b6825ace46",
+     "", {}),
+    (("filter", "--matrix", "[[0,3],[1,2]]", "--text"), 0,
+     "515b7f2c243e4cc12bd944d2bad30760e3139fa3e0a2bfe47804f0a102414e26",
+     "", {}),
+    (("filter", "--matrix", "[[1,3],[3,1]]",
+      "--graph", "platonic:octahedron"), 0,
+     "bc1365e92a61cbe01a68369496024e4346d7f6601b7755460a3ef1ed31baafbf",
+     "", {}),
+    (("filter", "--matrix", "[[1,3],[3,1]]",
+      "--graph", "platonic:octahedron", "--text"), 0,
+     "9611abae745a9a34fbe86141f0879d71bd50df8619d8ea3bb9d177d5cdba44d0",
+     "", {}),
+    (("filter", "--matrix", "[[0,3],[1]]"), 1,
+     EMPTY, "error: matrix must be square\n", {}),
+    (("filter", "--matrix", "[[0,6],[1,5]]", "--text"), 0,
+     "2a3a26ccb8a3544f53c2df860184ce44b0a7cf5fc2c4a7455a91d198c283e951",
+     NOTE, {}),
+    (("witness", "--matrix", "[[0,3],[1,2]]"), 0,
+     "1dfcce3e44ba4446b5a5770bb92f8bd7977a4472c832292604047681256c2804",
+     "", {}),
+    (("witness", "--matrix", "[[0,3],[1,2]]", "--text"), 0,
+     "9283576e8bd37dd15ba37180aa08fe554ca3439a1e7996fb4e184ae4ca755a56",
+     "", {}),
+    (("witness", "--matrix", "[[0,3],[1,2]]", "--dot"), 0,
+     "f6a5a231d5dcf3979bc6168a3c474a2cc7de496b45bcddf49ca8773ceb2b9652",
+     "", {}),
+    (("witness", "--matrix", "[[0,3],[1,2]]",
+      "-o", "{tmp}/out/missing/w.json"), 1,
+     EMPTY, "error: [Errno 2] No such file or directory: "
+            "'{tmp}/out/missing/w.json'\n", {}),
+    (("search", "--graph", "platonic:octahedron", "--matrix", "[[1,3],[3,1]]",
+      "--all"), 0,
+     "1677b8759af7eb5a61a9f4d6f434e4ad07d335c176ae3b32941fee2b9bad18a4",
+     "", {}),
+    (("search", "--graph", "platonic:octahedron", "--matrix", "[[0,4],[2,2]]",
+      "--all", "--text"), 0,
+     "f29b12e24413e9a4779dff0f8bef5ff804b45cabbdace615b730c1d0ff6b2a71",
+     "", {}),
+    (("search", "--graph", "platonic:octahedron", "--matrix", "[[0,4],[2,2]]",
+      "--dot"), 0,
+     "3b2bdd81b6ea11c0ae3cd42e1bfbd389137c130274186a51d49ba6b4a65446f4",
+     "", {}),
+    (("search", "--graph", "platonic:octahedron", "--matrix", "[[1,3],[3,1]]",
+      "--dot"), 1,
+     EMPTY, "error: no witness coloring to draw\n", {}),
+    (("search", "--graph", "platonic:cube", "--matrix", "[[0,3],[1,2]]"), 0,
+     "faa249ef63fd40068f3c5fa782be903badbd381afdac98bcede5e180c0e0d961",
+     "", {}),
+    (("search", "--graph", "platonic:cube", "--matrix", "[[0,3],[1,2]]",
+      "--text"), 0,
+     "fdd3d7c55f5f2edf70999fd89c5b1f9e5996e36ad1a9e31941f75ee815440c67",
+     "", {}),
+    (("search", "--graph", "{tmp}/c6.txt", "--matrix", "[[0,2],[1,1]]"), 0,
+     "2cb04ba9ea7b60513449e305e56e0757f267c3bb672fb9e344a8bd11175d1024",
+     "", {}),
+    (("search", "--graph", "{tmp}/k4.json", "--matrix", "[[1,2],[2,1]]",
+      "--all"), 0,
+     "ff4d65c14726ce7f7c6ec4960585d3ed14c6105f95152bb221e3ce35a3a69b53",
+     "", {}),
+    (("survey", "--platonic", "octahedron", "--colors", "2"), 0,
+     "2754b67dd49ee527496ec44df2b7aa8ec1353914a6f3c0792a30eb3a14710334",
+     "", {}),
+    (("survey", "--platonic", "cube", "--colors", "3", "--text"), 0,
+     "561c39b04561da90a3012445d15a308ea66761c55f85248d155e4b878cdacce3",
+     "", {}),
+    (("survey", "--platonic", "octahedron", "--colors", "2",
+      "--dot-dir", "{tmp}/out/dot"), 0,
+     "2754b67dd49ee527496ec44df2b7aa8ec1353914a6f3c0792a30eb3a14710334", "",
+     {"dot/octahedron_2col_0.dot":
+      "3b2bdd81b6ea11c0ae3cd42e1bfbd389137c130274186a51d49ba6b4a65446f4",
+      "dot/octahedron_2col_2.dot":
+      "3939b303bce9a209d164978576b3323c622ee690695b85c0a455091687e272d7"}),
+]
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err, files", CLI_PINS,
+                         ids=[" ".join(pin[0]) for pin in CLI_PINS])
+def test_cli_bytes_are_pinned(capsys, monkeypatch, tmp_path,
+                              argv, code, out_sha, err, files):
+    monkeypatch.delenv("PERFCOL_THREADS", raising=False)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (tmp_path / "c6.txt").write_text(
+        "6\n" + "".join(f"{v} {(v + 1) % 6}\n" for v in range(6)))
+    (tmp_path / "k4.json").write_text(json.dumps({
+        "n": 4, "edges": [[u, v] for u in range(4) for v in range(u + 1, 4)]}))
+    got_code, out, got_err = run(
+        capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+    written = {path.relative_to(out_dir).as_posix():
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out_dir.rglob("*") if path.is_file()}
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+    assert got_err.replace(str(tmp_path), "{tmp}") == err
+    assert written == files
 
 
 # ------------------------------------------------------------- entry point

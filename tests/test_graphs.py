@@ -423,6 +423,7 @@ def test_parse_graph_comments_and_blanks():
     ("2\n0\n", "line 2: expected an edge"),
     ("2\n0 x\n", "line 2: endpoints must be integers"),
     ("x\n", "line 1: expected the vertex count"),
+    ("²\n", "line 1: expected the vertex count"),
     ("", "missing the vertex count"),
 ])
 def test_parse_graph_errors(text, message):

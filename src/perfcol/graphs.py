@@ -13,8 +13,9 @@ adjacency matrix:
 
 build_witness glues the raw edge lists of these constructions per color
 class and class pair, on the smallest class sizes compatible with the
-matrix, validates the union once as a single Graph, and hands back one
-connected component together with its coloring.
+matrix, and hands back one connected component together with its
+coloring.  The class sizes meet both constructions' conditions, so the
+union is wrapped as a Graph unvalidated, as cam._cam wraps kernel output.
 """
 
 from __future__ import annotations
@@ -330,7 +331,12 @@ def build_witness(A) -> tuple[Graph, Coloring]:
         for j in range(i + 1, m):
             edges += [(oi + u, offsets[j] + w)
                       for u, w in _biregular_edges(a[i][j], sizes[i], sizes[j])]
-    graph = Graph.from_edges(offsets[-1], edges)
+    nbrs: list[list[int]] = [[] for _ in range(offsets[-1])]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    graph = object.__new__(Graph)
+    graph._set(len(nbrs), tuple(tuple(sorted(row)) for row in nbrs))
     colors = tuple(i + 1 for i in range(m) for _ in range(sizes[i]))
     keep = graph.component(0)
     if len(keep) < graph.n:

@@ -1,9 +1,10 @@
 """Backtracking search for perfect colorings of a concrete graph.
 
 Given a connected k-regular graph and a candidate matrix A, the search
-colors vertices in breadth-first order from vertex 0 and tries colors in
-ascending order.  Every vertex carries a domain, the bitmask of colors it
-may still take, and placing color i at v cuts domains by three rules:
+decides vertices in breadth-first order from vertex 0 and tries colors
+in ascending order.  Every vertex carries a domain, the bitmask of
+colors it may still take, and placing color i at v cuts domains by
+three rules:
 
   - an uncolored neighbor u of v now has x color-i neighbors, so it
     keeps only the colors whose row allows x of them (fits[i][x]);
@@ -13,17 +14,22 @@ may still take, and placing color i at v cuts domains by three rules:
   - every color j whose quota a[i][j] v has already met leaves the
     domains of v's uncolored neighbors.
 
-A placement that empties a domain is undone at once.  Neighbor counts
-only grow along a branch and a perfect coloring needs each of them
-exact, so every color a rule removes fails in every completion: the
-cuts drop dead subtrees only.  The search therefore meets the same
-solutions in the same order as plain backtracking with the same vertex
-and color order, so the first witness and the count do not change.  By
-the second and third rules no uncolored neighbor of a colored vertex
-holds a color the vertex has no room for, so a colored vertex never
-outgrows its row: it needs no overflow test, and its domain is not read.
-A placement pushes None on one trail, then a (vertex, old domain) pair
-per cut; backtracking restores the pairs down to that None.
+Neighbor counts only grow along a branch and a perfect coloring needs
+each of them exact, so every color a rule removes fails in every
+completion.  A vertex that a cut leaves one color can thus take only
+that color: it is placed at once with the same cuts (unit propagation)
+until nothing more is forced, and an empty domain fails the decision.
+The order skips forced vertices.  Decisions keep the vertex and color
+order and no step changes the solutions below one, so the search meets
+the same solutions in the same order as plain backtracking: the first
+witness and the count do not change.  By the second and third rules no
+uncolored neighbor of a colored vertex holds a color the vertex has no
+room for, so a colored vertex never outgrows its row: it needs no
+overflow test, and its domain is not read.
+A decision pushes None on a trail, then a (vertex, old domain) pair for
+its vertex and per cut; a forced vertex is colored after the cut that
+left it one color.  Backtracking pops pairs down to the None, uncolors
+each vertex whose pair it finds colored and restores the domains.
 
 Class sizes need no check in the loop: at a leaf each vertex has k
 colored neighbors, none beyond its row, and rows sum to k, so every
@@ -108,7 +114,8 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
     color = [0] * n
     counts = [[0] * m for _ in range(n)]
     dom = [(1 << m) - 1] * n
-    # per placement: None, then (vertex, its domain before a cut) pairs
+    position = {v: j for j, v in enumerate(order)}
+    # per decision: None, then (vertex, its domain before) pairs
     trail: list[tuple[int, int] | None] = []
     found = 0
     first: tuple[int, ...] | None = None
@@ -125,58 +132,71 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
             v = order[idx]
             choices = dom[v] >> start << start
             if choices:
-                # place color i at v, then cut the domains it rules out
-                bit = choices & -choices
-                i = bit.bit_length() - 1
-                trail.append(None)
-                color[v] = i + 1
-                idx += 1
-                # colors whose quota at v is not met yet
-                row = a[i]
-                mine = counts[v]
-                keep = 0
-                for j in range(m):
-                    if mine[j] < row[j]:
-                        keep |= 1 << j
-                fit = fits[i]
+                # decide the lowest color left at v, then place it and
+                # every color that the cuts force
+                trail += (None, (v, dom[v]))
+                dom[v] = choices & -choices
                 alive = True
-                for u in adj[v]:
-                    theirs = counts[u]
-                    x = theirs[i] + 1
-                    theirs[i] = x
-                    cu = color[u]
-                    if not cu:
-                        du = dom[u]
-                        d = du & fit[x] & keep
-                        if d != du:
-                            trail.append((u, du))
-                            dom[u] = d
-                            if not d:
-                                alive = False
-                    elif x == a[cu - 1][i]:
-                        for w in adj[u]:
-                            dw = dom[w]
-                            if dw & bit and not color[w]:
-                                trail.append((w, dw))
-                                dom[w] = dw ^ bit
-                                if dw == bit:
+                pending = [v]
+                for v in pending:
+                    bit = dom[v]
+                    i = bit.bit_length() - 1
+                    color[v] = i + 1
+                    # colors whose quota at v is not met yet
+                    row = a[i]
+                    mine = counts[v]
+                    keep = 0
+                    for j in range(m):
+                        if mine[j] < row[j]:
+                            keep |= 1 << j
+                    fit = fits[i]
+                    for u in adj[v]:
+                        theirs = counts[u]
+                        x = theirs[i] + 1
+                        theirs[i] = x
+                        cu = color[u]
+                        if not cu:
+                            du = dom[u]
+                            d = du & fit[x] & keep
+                            if d != du:
+                                trail.append((u, du))
+                                dom[u] = d
+                                if not d:
                                     alive = False
+                                elif not d & (d - 1):  # one color left
+                                    pending.append(u)
+                        elif x == a[cu - 1][i]:
+                            for w in adj[u]:
+                                dw = dom[w]
+                                if dw & bit and not color[w]:
+                                    trail.append((w, dw))
+                                    dom[w] = dw = dw ^ bit
+                                    if not dw:
+                                        alive = False
+                                    elif not dw & (dw - 1):
+                                        pending.append(w)
+                    if not alive:
+                        break
                 if alive:
+                    # on to the next vertex in the order still uncolored
+                    while idx < n and color[order[idx]]:
+                        idx += 1
                     start = 0
                     continue
-        if idx == 0:
+        if not trail:
             break
-        # backtrack: undo the color placed one level up, try the next one
-        idx -= 1
-        v = order[idx]
-        i = color[v] - 1
-        color[v] = 0
-        for u in adj[v]:
-            counts[u][i] -= 1
+        # backtrack: undo the last decision and what it forced; next color
         cut = trail.pop()
         while cut is not None:
-            dom[cut[0]] = cut[1]
+            u, du = cut
+            i = color[u] - 1
+            if i >= 0:
+                color[u] = 0
+                for w in adj[u]:
+                    counts[w][i] -= 1
+            dom[u] = du
             cut = trail.pop()
+        idx = position[u]  # the decided vertex: its pair comes last
         start = i + 1
     witness = Coloring(first, m) if first is not None else None
     return SearchOutcome(found > 0, witness, found if counting else None)

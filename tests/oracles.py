@@ -268,3 +268,50 @@ def expand_factors(factors) -> list[int]:
         for _ in range(mult):
             out = poly_mul(out, list(coeffs))
     return out
+
+
+def search_by_backtracking(graph, a) -> tuple[int, tuple[int, ...] | None]:
+    """(count, first) over the colorings of a connected graph realizing a.
+
+    Plain backtracking with no look-ahead: vertices are colored in
+    breadth-first order from vertex 0, neighbors taken in ascending
+    order, and colors 1..m are tried in ascending order.  The only test
+    is on neighbor counts: after each placement, every colored vertex
+    at or next to it may have no more neighbors of a color than its row
+    allows, and exactly as many once all its neighbors are colored.  A
+    full assignment must also use all m colors.  first is the first
+    coloring met, or None when count is 0.
+    """
+    m = len(a)
+    n = graph.n
+    adj = [sorted(graph.adj[v]) for v in range(n)]
+    order = [0]
+    for v in order:
+        order += [u for u in adj[v] if u not in order]
+    color = [0] * n
+    found = []
+
+    def within_row(v) -> bool:
+        have = [0] * m
+        for u in adj[v]:
+            if color[u]:
+                have[color[u] - 1] += 1
+        row = list(a[color[v] - 1])
+        if all(color[u] for u in adj[v]):
+            return have == row
+        return all(h <= r for h, r in zip(have, row))
+
+    def extend(depth: int) -> None:
+        if depth == n:
+            if len(set(color)) == m:
+                found.append(tuple(color))
+            return
+        v = order[depth]
+        for c in range(1, m + 1):
+            color[v] = c
+            if all(within_row(w) for w in [v, *adj[v]] if color[w]):
+                extend(depth + 1)
+        color[v] = 0
+
+    extend(0)
+    return len(found), (found[0] if found else None)

@@ -348,6 +348,16 @@ def test_build_witness_is_pinned():
         "005c57b3ab55ce727fea6c14a79ebeefbb9b7418c954d276c30a628f31330af6")
 
 
+def test_build_witness_graph_passes_the_constructor():
+    # build_witness wraps its graph unvalidated; the public constructor
+    # must accept it unchanged for every survivor with m <= 4, k <= 5
+    for m in range(1, 5):
+        for k in range(1, 6):
+            for a in enumerate_cams(m, k).survivors:
+                g, _ = build_witness(a)
+                assert Graph(g.n, g.adj) == g, a.entries
+
+
 def test_build_witness_keeps_class_block_order():
     # classes occupy contiguous blocks, so colors never decrease until
     # a component is cut out; with a connected result they are sorted

@@ -19,7 +19,8 @@ from perfcol.graphs import (
 )
 from perfcol.search import SearchOutcome, find_perfect_coloring, platonic_survey
 
-from oracles import all_colorings_brute_force, random_regular_edges
+from oracles import (all_colorings_brute_force, random_regular_edges,
+                     search_by_backtracking)
 
 
 # -------------------------------------------------------------- find one
@@ -185,6 +186,54 @@ def test_search_matches_brute_force_on_random_regular_graphs():
                     else:
                         assert first is None
     assert realizable >= 10
+
+
+def test_search_matches_backtracking_oracle_beyond_brute_force():
+    # cubic and quartic graphs on 14-24 vertices, where most colors are
+    # forced rather than decided: random graphs (almost all refuted) and
+    # build_witness graphs under a random relabeling (all realizable, so
+    # first witnesses are compared as well)
+    rng = random.Random(2)
+    pairs = []
+    for k, n in ((3, 16), (3, 20), (3, 24), (4, 15), (4, 18)):
+        g = Graph.from_edges(n, random_regular_edges(rng, n, k))
+        pairs += [(g, a) for m in (2, 3, 4) for a in enumerate_cams(m, k).survivors
+                  if sizes_for(a, n) is not None]
+    for k in (3, 4):
+        for m in (2, 3, 4):
+            for a in enumerate_cams(m, k).survivors:
+                g, _ = build_witness(a)
+                if 14 <= g.n <= 24:
+                    relabel = list(range(g.n))
+                    rng.shuffle(relabel)
+                    pairs.append((Graph.from_edges(
+                        g.n, [(relabel[u], relabel[v]) for u, v in g.edges()]), a))
+    realizable = 0
+    for g, a in pairs:
+        count, first = search_by_backtracking(g, a.entries)
+        got = find_perfect_coloring(g, a, mode="count_all")
+        assert got.labeled_count == count, (g.n, a.entries)
+        witness = find_perfect_coloring(g, a).witness
+        assert got.witness == witness
+        assert (witness.assignment if witness else None) == first, (g.n, a.entries)
+        realizable += count > 0
+    assert (len(pairs), realizable) == (578, 312)
+
+
+def test_failed_cascade_is_undone():
+    # BFS order 0, 4, 6, 7, 8, ...: with vertex 0 colored 1, color 1 at
+    # vertex 4 forces six more vertices before a domain empties; all
+    # seven must be uncolored again before color 2 at vertex 4, in whose
+    # subtree the first witness lies
+    g = Graph.from_edges(10, [
+        (0, 4), (0, 6), (0, 7), (0, 8), (1, 2), (1, 3), (1, 6), (1, 9),
+        (2, 4), (2, 5), (2, 7), (3, 4), (3, 8), (3, 9), (4, 7), (5, 6),
+        (5, 8), (5, 9), (6, 7), (8, 9)])
+    a = ((1, 3), (2, 2))
+    count, first = search_by_backtracking(g, a)
+    assert (count, first) == (2, (1, 1, 1, 2, 2, 2, 2, 2, 1, 2))
+    assert find_perfect_coloring(g, a).witness.assignment == first
+    assert find_perfect_coloring(g, a, mode="count_all").labeled_count == count
 
 
 def test_first_witnesses_are_pinned():

@@ -13,9 +13,9 @@ adjacency matrix:
 
 build_witness glues the raw edge lists of these constructions per color
 class and class pair, on the smallest class sizes compatible with the
-matrix, and hands back one connected component together with its
-coloring.  The class sizes meet both constructions' conditions, so the
-union is wrapped as a Graph unvalidated, as cam._cam wraps kernel output.
+matrix; the union is connected and comes back with its coloring.  The
+class sizes meet both constructions' conditions, so the union is
+wrapped as a Graph unvalidated, as cam._cam wraps kernel output.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class Graph(_Value):
         return sum(len(nbrs) for nbrs in self.adj) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return len(self.adj[self._vertex(v)])
 
     def regularity(self) -> int | None:
         """The common degree k if the graph is regular, else None."""
@@ -90,9 +90,7 @@ class Graph(_Value):
 
     def bfs_order(self, start: int = 0) -> list[int]:
         """Vertices reachable from start, in breadth-first order."""
-        start = index(start)
-        if not 0 <= start < self.n:
-            raise ValueError(f"vertex {start} out of range for n={self.n}")
+        start = self._vertex(start)
         seen = [False] * self.n
         seen[start] = True
         order = [start]
@@ -114,11 +112,17 @@ class Graph(_Value):
 
     def induced(self, vertices) -> "Graph":
         """Subgraph on the given vertices, relabeled in their sorted order."""
-        keep = sorted(set(vertices))
+        keep = sorted({self._vertex(v) for v in vertices})
         relabel = {old: new for new, old in enumerate(keep)}
         rows = tuple(tuple(relabel[u] for u in self.adj[old] if u in relabel)
                      for old in keep)
         return Graph(len(keep), rows)
+
+    def _vertex(self, v) -> int:
+        v = index(v)
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        return v
 
 
 class Coloring(_Value):
@@ -283,12 +287,12 @@ def _biregular_edges(p: int, r: int, s: int) -> list[tuple[int, int]]:
 
 
 def minimal_class_sizes(A) -> tuple[int, ...]:
-    """Smallest class sizes on which the witness construction can run.
+    """Smallest class sizes of any perfect coloring with matrix A.
 
     Scales the ratio vector by the least t such that every class i
     satisfies v_i >= a_ii + 1, a_ii v_i even, and v_i >= a_ji for all
-    j != i.  For a valid matrix some multiple always works; this is the
-    first one.
+    j != i.  Any perfect coloring with matrix A, on any simple graph, has
+    sizes lam v with lam meeting these (see build_witness), so lam >= t.
     """
     return _minimal_sizes(entries_of(A))
 
@@ -298,10 +302,7 @@ def _minimal_sizes(a) -> tuple[int, ...]:
     ratios = _ratios(a)
     t = 1
     for i in range(m):
-        need = a[i][i] + 1
-        for j in range(m):
-            if j != i and a[j][i] > need:
-                need = a[j][i]
+        need = max(a[j][i] + (j == i) for j in range(m))
         t = max(t, -(-need // ratios[i]))
     if t % 2 and any(a[i][i] % 2 and ratios[i] % 2 for i in range(m)):
         t += 1
@@ -309,39 +310,36 @@ def _minimal_sizes(a) -> tuple[int, ...]:
 
 
 def build_witness(A) -> tuple[Graph, Coloring]:
-    """A concrete perfect coloring realizing a valid matrix.
+    """A perfect coloring realizing a valid matrix, on a connected graph.
 
-    Classes occupy contiguous vertex blocks sized by minimal_class_sizes.
-    Inside class i sits an a_ii-regular circulant; between classes i, j
-    with a_ij > 0 sits an (a_ij, a_ji)-biregular graph.  Every vertex of
-    the union then has the prescribed neighbor counts, so every
-    connected component does as well, and color-connectivity puts all m
-    colors into each component.  The component of vertex 0 is returned.
+    Classes occupy contiguous vertex blocks sized by minimal_class_sizes:
+    an a_ii-regular circulant inside class i, an (a_ij, a_ji)-biregular
+    graph between classes i and j.  The union is connected: each of its
+    components K is a perfect coloring with matrix A, so counting edges
+    gives a_ij |K&C_i| = a_ji |K&C_j|, and as the color graph is
+    connected, |K&C_i| = lam v_i for the coprime ratios v and an integer
+    lam >= 1 (Bezout).  |K&C_i| >= a_ii + 1 and >= a_ji, and a_ii |K&C_i|
+    is even (class i induces an a_ii-regular graph on K&C_i), so lam
+    meets the constraints of minimal_class_sizes: lam >= t.  The lam of
+    all components sum to t, so there is one component.  Minimality
+    matters: at twice these sizes some unions fall apart.
     """
     a = entries_of(A)
     m = len(a)
     sizes = _minimal_sizes(a)
-    offsets = [0]
-    for size in sizes:
-        offsets.append(offsets[-1] + size)
-    edges = []
-    for i in range(m):
-        oi = offsets[i]
-        edges += [(oi + u, oi + v) for u, v in _circulant_edges(sizes[i], a[i][i])]
-        for j in range(i + 1, m):
-            edges += [(oi + u, offsets[j] + w)
-                      for u, w in _biregular_edges(a[i][j], sizes[i], sizes[j])]
+    offsets = [sum(sizes[:i]) for i in range(m + 1)]
     nbrs: list[list[int]] = [[] for _ in range(offsets[-1])]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    for i in range(m):
+        for j in range(i, m):
+            oi, oj = offsets[i], offsets[j]
+            pairs = (_circulant_edges(sizes[i], a[i][i]) if i == j else
+                     _biregular_edges(a[i][j], sizes[i], sizes[j]))
+            for u, w in pairs:
+                nbrs[oi + u].append(oj + w)
+                nbrs[oj + w].append(oi + u)
     graph = object.__new__(Graph)
     graph._set(len(nbrs), tuple(tuple(sorted(row)) for row in nbrs))
     colors = tuple(i + 1 for i in range(m) for _ in range(sizes[i]))
-    keep = graph.component(0)
-    if len(keep) < graph.n:
-        graph = graph.induced(keep)
-        colors = tuple(colors[v] for v in keep)
     return graph, Coloring(colors, m)
 
 
@@ -423,10 +421,11 @@ def parse_graph(text: str) -> Graph:
 
 def emit_edge_list(G: Graph, coloring: Coloring | None = None) -> str:
     """The inverse of parse_graph; an optional coloring rides in comments."""
-    lines = [str(G.n)]
+    lines = [str(G.n)] + [f"{u} {v}" for u, v in G.edges()]
     if coloring is not None:
+        if len(coloring.assignment) != G.n:
+            raise ValueError("coloring does not match the vertex count")
         lines.insert(0, "# colors: " + " ".join(str(c) for c in coloring.assignment))
-    lines += [f"{u} {v}" for u, v in G.edges()]
     return "\n".join(lines) + "\n"
 
 

@@ -89,13 +89,19 @@ def test_graph_traversal_helpers():
     assert sub.n == 3 and sub.is_connected()
     assert g.regularity() is None
     assert g.degree(1) == 2 and g.degree(3) == 0
-    # a start outside 0..n-1 is an error, not a wrapped index
+    # a vertex outside 0..n-1 is an error, not a wrapped index
     for v in (-1, 4):
         message = f"vertex {v} out of range for n=4"
         with pytest.raises(ValueError, match=message):
             g.bfs_order(v)
         with pytest.raises(ValueError, match=message):
             g.component(v)
+        with pytest.raises(ValueError, match=message):
+            g.degree(v)
+        with pytest.raises(ValueError, match=message):
+            g.induced([v, 2])
+    with pytest.raises(ValueError, match="vertex 5 out of range for n=4"):
+        g.induced([5])
 
 
 def test_empty_and_single_vertex_graphs():
@@ -276,10 +282,15 @@ def test_minimal_class_sizes_parity_bump():
 
 
 def test_minimal_class_sizes_are_minimal_by_search():
-    # independent check: no smaller multiple of the ratio vector works
+    # independent check: no smaller multiple of the ratio vector works.
+    # build_witness's connectivity proof rests on this minimality, so it
+    # runs over every survivor with m <= 4, k <= 5
     from perfcol.cam import class_ratios
-    for a in (((0, 3), (1, 2)), ((1, 3), (3, 1)), ((2, 2), (1, 3)),
-              ((0, 1, 2), (1, 0, 2), (1, 1, 1))):
+    hand_picked = [((0, 3), (1, 2)), ((1, 3), (3, 1)), ((2, 2), (1, 3)),
+                   ((0, 1, 2), (1, 0, 2), (1, 1, 1))]
+    survivors = [a.entries for m in range(1, 5) for k in range(1, 6)
+                 for a in enumerate_cams(m, k).survivors]
+    for a in hand_picked + survivors:
         m = len(a)
         ratios = class_ratios(a).numerators
         got = minimal_class_sizes(a)
@@ -350,17 +361,22 @@ def test_build_witness_is_pinned():
 
 def test_build_witness_graph_passes_the_constructor():
     # build_witness wraps its graph unvalidated; the public constructor
-    # must accept it unchanged for every survivor with m <= 4, k <= 5
+    # must accept it unchanged for every survivor with m <= 4, k <= 5.
+    # It returns the whole union, which the minimal class sizes make
+    # connected
     for m in range(1, 5):
         for k in range(1, 6):
             for a in enumerate_cams(m, k).survivors:
-                g, _ = build_witness(a)
+                g, coloring = build_witness(a)
                 assert Graph(g.n, g.adj) == g, a.entries
+                assert g.is_connected(), a.entries
+                assert coloring.class_sizes() == minimal_class_sizes(a), \
+                    a.entries
 
 
 def test_build_witness_keeps_class_block_order():
-    # classes occupy contiguous blocks, so colors never decrease until
-    # a component is cut out; with a connected result they are sorted
+    # classes occupy contiguous blocks of the one connected union, so
+    # the colors are sorted
     g, coloring = build_witness(((0, 3), (1, 2)))
     assert list(coloring.assignment) == sorted(coloring.assignment)
 
@@ -451,6 +467,12 @@ def test_edge_list_carries_coloring_comment():
     text = emit_edge_list(g, coloring)
     assert text.startswith("# colors: 1 1 1 2 2 2\n")
     assert parse_graph(text) == g
+
+
+@pytest.mark.parametrize("emit", [emit_edge_list, emit_dot])
+def test_emitters_reject_a_coloring_of_another_size(emit):
+    with pytest.raises(ValueError, match="does not match the vertex count"):
+        emit(platonic("tetrahedron"), Coloring((1, 2, 1), 2))
 
 
 def test_emit_dot_colors():

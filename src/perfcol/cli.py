@@ -147,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _positive(text: str) -> int:
-    try:
+    try:  # ASCII digits only: int() also reads '1_0', '+3' and ' 4 '
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise ValueError
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None

@@ -94,10 +94,7 @@ class Graph(_Value):
         seen = [False] * self.n
         seen[start] = True
         order = [start]
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
+        for v in order:
             for u in self.adj[v]:
                 if not seen[u]:
                     seen[u] = True
@@ -401,10 +398,10 @@ def parse_graph(text: str) -> Graph:
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected an edge 'u v'")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: endpoints must be integers") from None
+        if not all(f.isascii() and f.removeprefix("-").isdigit()
+                   for f in fields):
+            raise ValueError(f"line {lineno}: endpoints must be integers")
+        u, v = int(fields[0]), int(fields[1])
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"line {lineno}: endpoint out of range 0..{n - 1}")
         if u == v:

@@ -26,10 +26,11 @@ witness and the count do not change.  By the second and third rules no
 uncolored neighbor of a colored vertex holds a color the vertex has no
 room for, so a colored vertex never outgrows its row: it needs no
 overflow test, and its domain is not read.
-A decision pushes None on a trail, then a (vertex, old domain) pair for
-its vertex and per cut; a forced vertex is colored after the cut that
-left it one color.  Backtracking pops pairs down to the None, uncolors
-each vertex whose pair it finds colored and restores the domains.
+A decision pushes (None, its index in the order) on a trail, then a
+(vertex, old domain) pair for its vertex and per cut; a forced vertex
+is colored after the cut that left it one color.  Backtracking pops
+pairs down to that mark, uncolors each vertex whose pair it finds
+colored, restores the domains and resumes at the mark's index.
 
 Class sizes need no check in the loop: at a leaf each vertex has k
 colored neighbors, none beyond its row, and rows sum to k, so every
@@ -114,9 +115,8 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
     color = [0] * n
     counts = [[0] * m for _ in range(n)]
     dom = [(1 << m) - 1] * n
-    position = {v: j for j, v in enumerate(order)}
-    # per decision: None, then (vertex, its domain before) pairs
-    trail: list[tuple[int, int] | None] = []
+    # per decision: (None, its index), then (vertex, its domain before) pairs
+    trail: list[tuple[int | None, int]] = []
     found = 0
     first: tuple[int, ...] | None = None
     idx = 0
@@ -134,7 +134,7 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
             if choices:
                 # decide the lowest color left at v, then place it and
                 # every color that the cuts force
-                trail += (None, (v, dom[v]))
+                trail += ((None, idx), (v, dom[v]))
                 dom[v] = choices & -choices
                 alive = True
                 pending = [v]
@@ -186,17 +186,16 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
         if not trail:
             break
         # backtrack: undo the last decision and what it forced; next color
-        cut = trail.pop()
-        while cut is not None:
-            u, du = cut
+        u, du = trail.pop()
+        while u is not None:
             i = color[u] - 1
             if i >= 0:
                 color[u] = 0
                 for w in adj[u]:
                     counts[w][i] -= 1
             dom[u] = du
-            cut = trail.pop()
-        idx = position[u]  # the decided vertex: its pair comes last
+            u, du = trail.pop()
+        idx = du  # the mark's index; the decided vertex's pair came last
         start = i + 1
     witness = Coloring(first, m) if first is not None else None
     return SearchOutcome(found > 0, witness, found if counting else None)

@@ -46,8 +46,6 @@ class IntPolynomial(_Value):
         return len(self.coefficients) - 1
 
     def __str__(self) -> str:
-        if self.degree == 0:
-            return "1"
         parts = []
         for i, c in enumerate(self.coefficients):
             if c == 0:
@@ -58,10 +56,9 @@ class IntPolynomial(_Value):
             else:
                 coeff = "" if abs(c) == 1 else f"{abs(c)}*"
                 term = f"{coeff}x^{power}" if power > 1 else f"{coeff}x"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+            if parts:  # the leading coefficient is 1, so no sign first
+                term = f"+ {term}" if c > 0 else f"- {term}"
+            parts.append(term)
         return " ".join(parts)
 
 

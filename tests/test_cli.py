@@ -83,7 +83,28 @@ def test_missing_subcommand_is_usage_error():
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("value", ["x", "-3", "0"])
+@pytest.mark.parametrize("flag", ["-m", "-k", "--threads"])
+@pytest.mark.parametrize("value,message", [
+    # ASCII digits only: int() reads the first four as numbers
+    ("\u0662", "'\u0662' is not an integer"),
+    ("1_0", "'1_0' is not an integer"),
+    ("+3", "'+3' is not an integer"),
+    (" 4 ", "' 4 ' is not an integer"),
+    ("-", "'-' is not an integer"),
+    ("-3", "must be a positive integer"),
+    pytest.param("1" * 5000, f"'{'1' * 5000}' is not an integer",
+                 id="past-the-int-digit-limit"),
+])
+def test_integer_flags_take_ascii_digits_only(capsys, flag, value, message):
+    options = {"-m": "2", "-k": "3", "--threads": "1", flag: value}
+    argv = [word for pair in options.items() for word in pair]
+    with pytest.raises(SystemExit) as err:
+        main(["enumerate", *argv, "--count-only"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f": {message}\n")
+
+
+@pytest.mark.parametrize("value", ["x", "-3", "0", "\u0662", "1_0", "+3", " 4 "])
 def test_bad_threads_environment_is_domain_error(capsys, monkeypatch, value):
     monkeypatch.setenv("PERFCOL_THREADS", value)
     code, out, err = run(capsys, "enumerate", "-m", "2", "-k", "3")

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,8 @@ from perfcol.graphs import (
     platonic,
     verify_coloring,
 )
+
+from oracles import random_regular_edges
 
 
 # ------------------------------------------------------------------- Graph
@@ -102,6 +106,36 @@ def test_graph_traversal_helpers():
             g.induced([v, 2])
     with pytest.raises(ValueError, match="vertex 5 out of range for n=4"):
         g.induced([5])
+
+
+def test_bfs_order_matches_a_deque_walk_from_every_start():
+    # the order the search decides vertices in, against a plain queue
+    def deque_bfs(adj, start):
+        seen = {start}
+        queue = deque([start])
+        order = []
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        return order
+
+    rng = random.Random(3)
+    graphs = [platonic(name) for name in ("tetrahedron", "cube", "octahedron",
+                                          "dodecahedron", "icosahedron")]
+    for n, k in ((8, 3), (12, 3), (9, 4), (16, 4), (10, 5)):
+        graphs.append(Graph.from_edges(n, random_regular_edges(rng, n, k)))
+    # and two components side by side: a walk stays inside its own
+    left, right = graphs[-2:]
+    graphs.append(Graph.from_edges(left.n + right.n, left.edges() + [
+        (u + left.n, v + left.n) for u, v in right.edges()]))
+    for g in graphs:
+        assert g.bfs_order() == deque_bfs(g.adj, 0)
+        for v in range(g.n):
+            assert g.bfs_order(v) == deque_bfs(g.adj, v), (g.n, v)
 
 
 def test_empty_and_single_vertex_graphs():
@@ -448,6 +482,14 @@ def test_parse_graph_comments_and_blanks():
     ("2\n0 3\n", "line 2: endpoint out of range"),
     ("2\n0\n", "line 2: expected an edge"),
     ("2\n0 x\n", "line 2: endpoints must be integers"),
+    # ASCII digits only, as in the vertex count: int() reads the next
+    # three as numbers
+    ("12\n0 1_0\n", "line 2: endpoints must be integers"),
+    ("3\n0 \u0661\n", "line 2: endpoints must be integers"),
+    ("3\n+0 1\n", "line 2: endpoints must be integers"),
+    ("3\n0 \u00b2\n", "line 2: endpoints must be integers"),
+    ("3\n0 -\n", "line 2: endpoints must be integers"),
+    ("3\n-1 0\n", "line 2: endpoint out of range 0..2"),
     ("x\n", "line 1: expected the vertex count"),
     ("²\n", "line 1: expected the vertex count"),
     ("", "missing the vertex count"),

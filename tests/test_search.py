@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -234,6 +235,45 @@ def test_failed_cascade_is_undone():
     assert (count, first) == (2, (1, 1, 1, 2, 2, 2, 2, 2, 1, 2))
     assert find_perfect_coloring(g, a).witness.assignment == first
     assert find_perfect_coloring(g, a, mode="count_all").labeled_count == count
+
+
+def test_placements_are_pinned():
+    # colors placed, decided or forced: the work that forcing saves and
+    # no outcome shows, since a search that forced nothing would meet the
+    # same solutions in the same order.  Counted at the one bit_length
+    # call per placement.
+    code = find_perfect_coloring.__code__
+    placed = 0
+
+    def hook(frame, event, arg):
+        nonlocal placed
+        if (event == "c_call" and frame.f_code is code
+                and arg.__name__ == "bit_length"):
+            placed += 1
+
+    def placements(pairs, mode):
+        nonlocal placed
+        placed = 0
+        before = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            for g, a in pairs:
+                find_perfect_coloring(g, a, mode)
+        finally:
+            sys.setprofile(before)
+        return placed
+
+    solids = [(g, a) for g in map(platonic, ("tetrahedron", "cube",
+                                             "octahedron", "dodecahedron",
+                                             "icosahedron"))
+              for m in (2, 3) for a in enumerate_cams(m, g.regularity()).survivors]
+    rng = random.Random(2)
+    randoms = []
+    for k, n in ((3, 16), (3, 20), (4, 15)):
+        g = Graph.from_edges(n, random_regular_edges(rng, n, k))
+        randoms += [(g, a) for m in (2, 3) for a in enumerate_cams(m, k).survivors]
+    assert placements(solids, "count_all") == 5839
+    assert placements(randoms, "first") == 3225
 
 
 def test_first_witnesses_are_pinned():

@@ -398,10 +398,13 @@ def parse_graph(text: str) -> Graph:
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected an edge 'u v'")
-        if not all(f.isascii() and f.removeprefix("-").isdigit()
-                   for f in fields):
-            raise ValueError(f"line {lineno}: endpoints must be integers")
-        u, v = int(fields[0]), int(fields[1])
+        try:  # ASCII digits only: int() also reads '1_0', '+3' and ' 4 '
+            if not all(f.isascii() and f.removeprefix("-").isdigit()
+                       for f in fields):
+                raise ValueError
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: endpoints must be integers") from None
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"line {lineno}: endpoint out of range 0..{n - 1}")
         if u == v:

@@ -241,7 +241,10 @@ def test_placements_are_pinned():
     # colors placed, decided or forced: the work that forcing saves and
     # no outcome shows, since a search that forced nothing would meet the
     # same solutions in the same order.  Counted at the one bit_length
-    # call per placement.
+    # call per placement: the pins assume find_perfect_coloring makes
+    # exactly one such call per placement and no other, so a change that
+    # adds or drops a bit_length call there must re-derive both figures
+    # from a placement count, not loosen them.
     code = find_perfect_coloring.__code__
     placed = 0
 

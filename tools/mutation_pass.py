@@ -12,12 +12,13 @@ address space counts as killed.
 
     python tools/mutation_pass.py search.py:find_perfect_coloring \\
         graphs.py:Graph.bfs_order \\
-        --tests tests/test_search.py tests/test_graphs.py --jobs 2
+        --tests tests/test_search.py tests/test_graphs.py
 
 A target is a module under src/perfcol and a function's dotted name in
 it.  The unmutated code is run first and must pass.  Prints one line
-per mutant and the survivors at the end.  This file is not a test, and
-pytest does not collect it (tests live under tests/).
+per mutant and the survivors at the end.  Mutants run side by side,
+one per CPU the process may use.  This file is not a test, and pytest
+does not collect it (tests live under tests/).
 """
 
 from __future__ import annotations
@@ -153,7 +154,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("targets", nargs="+", metavar="MODULE:FUNCTION")
     parser.add_argument("--tests", nargs="+", required=True, metavar="PATH")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     plan = []  # (module, original source, target, site number)
@@ -184,7 +184,8 @@ def main(argv=None) -> int:
                 run_tests(module, text, args.tests, timeout))
 
     survivors = []
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    # one test run at a time per CPU this process may use
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
         for label, verdict in pool.map(one, plan):
             print(f"{verdict:8}  {label}", flush=True)
             if verdict == "survived":

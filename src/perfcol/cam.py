@@ -138,15 +138,15 @@ def entries_of(A) -> Entries:
 
     Accepts a ColorAdjacencyMatrix or any square nested sequence of
     integers; raises ValueError when a row's length differs from the
-    number of rows.  The rows are copied into tuples in one pass, and
-    only when some entry is not a plain int do the entries go through
-    operator.index, which turns bools, numpy integers and IntEnum
-    members into ints and rejects floats with TypeError.
+    number of rows.  The rows are copied into tuples in one pass.  Only
+    if an entry is not a plain int (the check stops at the first) do the
+    entries go through operator.index, which turns bools, numpy integers
+    and IntEnum members into ints and rejects floats with TypeError.
     """
     if isinstance(A, ColorAdjacencyMatrix):
         return A.entries
     rows = tuple(map(tuple, A))
-    if set(map(type, chain.from_iterable(rows))) - {int}:
+    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
         rows = tuple(tuple(map(index, row)) for row in rows)
     n = len(rows)
     for row in rows:
@@ -204,14 +204,17 @@ def _row_sum(a: Entries) -> int | None:
 
 
 def is_weakly_symmetric(A) -> bool:
-    """True iff a_ij = 0 exactly when a_ji = 0, for every pair i != j."""
+    """True iff a_ij = 0 exactly when a_ji = 0, for every pair i != j;
+    the walk over the lower triangle stops at the first pair that differs."""
     return _weakly_symmetric(entries_of(A))
 
 
 def _weakly_symmetric(a: Entries) -> bool:
-    m = len(a)
-    return all((a[i][j] == 0) == (a[j][i] == 0)
-               for i in range(m) for j in range(i + 1, m))
+    for i, row in enumerate(a):
+        for j in range(i):
+            if (not row[j]) is not (not a[j][i]):
+                return False
+    return True
 
 
 def is_color_connected(A) -> bool:
@@ -221,13 +224,15 @@ def is_color_connected(A) -> bool:
     i != j whenever a_ij > 0 (equivalently a_ji > 0 once the matrix is
     weakly symmetric; either direction counts here).  Connectivity of
     this graph is the same as A not being conjugate to a block diagonal
-    matrix with more than one block.
+    matrix with more than one block.  A depth-first walk from color 0
+    decides it and stops as soon as every color is reached.
     """
     return _color_connected(_nonempty(entries_of(A)))
 
 
 def _color_connected(a: Entries) -> bool:
     m = len(a)
+    every = (1 << m) - 1
     seen = 1
     stack = [0]
     while stack:
@@ -236,8 +241,10 @@ def _color_connected(a: Entries) -> bool:
         for w in range(m):
             if not (seen >> w) & 1 and (row[w] or a[w][u]):
                 seen |= 1 << w
+                if seen == every:
+                    return True
                 stack.append(w)
-    return seen == (1 << m) - 1
+    return seen == every
 
 
 def _potentials(a: Entries) -> tuple[list[int], list[int], int] | None:

@@ -391,10 +391,13 @@ def parse_graph(text: str) -> Graph:
             continue
         fields = line.split()
         if n is None:
-            if (len(fields) != 1 or not fields[0].isascii()
-                    or not fields[0].isdigit()):
-                raise ValueError(f"line {lineno}: expected the vertex count")
-            n = int(fields[0])
+            try:  # int() also refuses more than 4,300 digits
+                if (len(fields) != 1 or not fields[0].isascii()
+                        or not fields[0].isdigit()):
+                    raise ValueError
+                n = int(fields[0])
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected the vertex count") from None
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected an edge 'u v'")

@@ -36,6 +36,32 @@ def consistent_by_cycles(a) -> bool:
     return True
 
 
+def weakly_symmetric_by_definition(a) -> bool:
+    """Weak symmetry straight from the definition: a_ij = 0 exactly when
+    a_ji = 0, checked for every ordered pair i != j."""
+    m = len(a)
+    return all((a[i][j] == 0) == (a[j][i] == 0)
+               for i in range(m) for j in range(m) if i != j)
+
+
+def connected_by_definition(a) -> bool:
+    """Connectivity of the color graph as the absence of a block split.
+
+    The color graph (an edge {i, j} when a_ij > 0 or a_ji > 0) is
+    disconnected exactly when some nonempty proper set S of colors has
+    a_ij = a_ji = 0 for every i in S and j outside it, that is, when a
+    is conjugate to a block diagonal matrix with more than one block.
+    Every such S is tried; no graph is searched.
+    """
+    m = len(a)
+    for size in range(1, m):
+        for block in combinations(range(m), size):
+            rest = [j for j in range(m) if j not in block]
+            if all(a[i][j] == 0 and a[j][i] == 0 for i in block for j in rest):
+                return False
+    return True
+
+
 def cycle_check_arrays(m: int):
     """Index arrays for a vectorized version of consistent_by_cycles.
 

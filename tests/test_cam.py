@@ -23,8 +23,10 @@ from perfcol.cam import (
 
 from oracles import (
     compositions,
+    connected_by_definition,
     consistent_by_cycles,
     ratios_by_least_solution,
+    weakly_symmetric_by_definition,
 )
 
 
@@ -82,6 +84,34 @@ def test_entries_of_normalizes_to_plain_int_tuples(make, expected):
     assert type(rows) is tuple
     assert all(type(row) is tuple for row in rows)
     assert all(type(x) is int for row in rows for x in row)
+
+
+def _predicates():
+    from perfcol.enumeration import passes_filters
+    return (is_weakly_symmetric, is_color_connected, is_consistent,
+            passes_filters)
+
+
+@pytest.mark.parametrize("last", [True, Level.ONE, np.int64(1)],
+                         ids=["bool", "IntEnum", "numpy"])
+def test_entries_of_normalizes_a_non_int_in_the_last_row_only(last):
+    # the type check stops at the first entry that is not a plain int, so
+    # one found only at the very end must still send every entry through
+    plain = ((0, 1, 2), (1, 0, 2), (1, 1, 1))
+    rows = [list(row) for row in plain]
+    rows[-1][-1] = last
+    normalized = entries_of(rows)
+    assert normalized == plain
+    assert all(type(x) is int for row in normalized for x in row)
+    for fn in _predicates():
+        assert fn(rows) is fn(plain) is True, fn.__name__
+
+
+def test_predicates_reject_a_float_in_the_last_position():
+    rows = [[0, 1, 2], [1, 0, 2], [1, 1, 1.0]]
+    for fn in (entries_of, *_predicates()):
+        with pytest.raises(TypeError):
+            fn(rows)
 
 
 def test_entries_of_checks_types_before_shape():
@@ -189,6 +219,15 @@ def test_weak_symmetry_examples():
     assert is_weakly_symmetric([[0, 3], [1, 2]])
     assert not is_weakly_symmetric([[0, 3], [0, 3]])
     assert is_weakly_symmetric([[1, 2], [2, 1]])
+
+
+@pytest.mark.parametrize("m, top", [(4, 1), (3, 2)])
+def test_weak_symmetry_and_connectivity_match_definitions_exhaustive(m, top):
+    # every 4x4 zero-one matrix and every 3x3 matrix with entries 0..2
+    for flat in product(range(top + 1), repeat=m * m):
+        a = tuple(flat[i:i + m] for i in range(0, m * m, m))
+        assert is_weakly_symmetric(a) == weakly_symmetric_by_definition(a), a
+        assert is_color_connected(a) == connected_by_definition(a), a
 
 
 # ------------------------------------------------------------- consistency

@@ -492,6 +492,7 @@ def test_parse_graph_comments_and_blanks():
     ("3\n-1 0\n", "line 2: endpoint out of range 0..2"),
     # past int()'s 4,300-digit limit, which raises its own message
     ("2\n0 " + "1" * 5000 + "\n", "line 2: endpoints must be integers"),
+    ("# n\n" + "1" * 5000 + "\n", "line 2: expected the vertex count"),
     ("x\n", "line 1: expected the vertex count"),
     ("²\n", "line 1: expected the vertex count"),
     ("", "missing the vertex count"),

@@ -38,6 +38,7 @@ from .golden import (
 )
 from .graphs import (
     PLATONIC_BUILDERS,
+    _integer,
     build_witness,
     emit_dot,
     emit_edge_list,
@@ -147,10 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _positive(text: str) -> int:
-    try:  # ASCII digits only: int() also reads '1_0', '+3' and ' 4 '
-        if not (text.isascii() and text.removeprefix("-").isdigit()):
-            raise ValueError
-        value = int(text)
+    try:
+        value = _integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 1:

@@ -286,24 +286,30 @@ def _biregular_edges(p: int, r: int, s: int) -> list[tuple[int, int]]:
 def minimal_class_sizes(A) -> tuple[int, ...]:
     """Smallest class sizes of any perfect coloring with matrix A.
 
-    Scales the ratio vector by the least t such that every class i
-    satisfies v_i >= a_ii + 1, a_ii v_i even, and v_i >= a_ji for all
-    j != i.  Any perfect coloring with matrix A, on any simple graph, has
-    sizes lam v with lam meeting these (see build_witness), so lam >= t.
+    Scales the ratio vector by the least t whose sizes meet the class-size
+    rule of _sizes_fit.  Any perfect coloring with matrix A, on any simple
+    graph, has sizes lam v with lam meeting it (see build_witness), so
+    lam >= t.
     """
     return _minimal_sizes(entries_of(A))
 
 
 def _minimal_sizes(a) -> tuple[int, ...]:
-    m = len(a)
     ratios = _ratios(a)
-    t = 1
-    for i in range(m):
-        need = max(a[j][i] + (j == i) for j in range(m))
-        t = max(t, -(-need // ratios[i]))
-    if t % 2 and any(a[i][i] % 2 and ratios[i] % 2 for i in range(m)):
+    t = 1  # ends by max a_ij + 2: it or the t before it is even
+    while not _sizes_fit(a, [t * x for x in ratios]):
         t += 1
     return tuple(t * x for x in ratios)
+
+
+def _sizes_fit(a, sizes) -> bool:
+    """The class-size rule: whether a perfect coloring with matrix a on a
+    simple graph can have these class sizes.  A vertex of class j has a_ji
+    distinct neighbors in class i, none of them itself, so s_i >= a_ji +
+    [i = j]; class i induces an a_ii-regular graph, so a_ii s_i is even."""
+    return all(s > a[i][i] and not a[i][i] * s % 2
+               and all(row[i] <= s for row in a)
+               for i, s in enumerate(sizes))
 
 
 def build_witness(A) -> tuple[Graph, Coloring]:
@@ -315,11 +321,11 @@ def build_witness(A) -> tuple[Graph, Coloring]:
     components K is a perfect coloring with matrix A, so counting edges
     gives a_ij |K&C_i| = a_ji |K&C_j|, and as the color graph is
     connected, |K&C_i| = lam v_i for the coprime ratios v and an integer
-    lam >= 1 (Bezout).  |K&C_i| >= a_ii + 1 and >= a_ji, and a_ii |K&C_i|
-    is even (class i induces an a_ii-regular graph on K&C_i), so lam
-    meets the constraints of minimal_class_sizes: lam >= t.  The lam of
-    all components sum to t, so there is one component.  Minimality
-    matters: at twice these sizes some unions fall apart.
+    lam >= 1 (Bezout).  These sizes meet the class-size rule of
+    _sizes_fit, K being a perfect coloring on a simple graph, so lam >= t
+    for the t of minimal_class_sizes.  The lam of all components sum to
+    t, so there is one component.  Minimality matters: at twice these
+    sizes some unions fall apart.
     """
     a = entries_of(A)
     m = len(a)
@@ -391,21 +397,17 @@ def parse_graph(text: str) -> Graph:
             continue
         fields = line.split()
         if n is None:
-            try:  # int() also refuses more than 4,300 digits
-                if (len(fields) != 1 or not fields[0].isascii()
-                        or not fields[0].isdigit()):
+            try:  # a count takes no sign
+                if len(fields) != 1 or fields[0].startswith("-"):
                     raise ValueError
-                n = int(fields[0])
+                n = _integer(fields[0])
             except ValueError:
                 raise ValueError(f"line {lineno}: expected the vertex count") from None
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected an edge 'u v'")
-        try:  # ASCII digits only: int() also reads '1_0', '+3' and ' 4 '
-            if not all(f.isascii() and f.removeprefix("-").isdigit()
-                       for f in fields):
-                raise ValueError
-            u, v = int(fields[0]), int(fields[1])
+        try:
+            u, v = map(_integer, fields)
         except ValueError:
             raise ValueError(f"line {lineno}: endpoints must be integers") from None
         if not (0 <= u < n and 0 <= v < n):
@@ -420,6 +422,14 @@ def parse_graph(text: str) -> Graph:
     if n is None:
         raise ValueError("empty document: missing the vertex count line")
     return Graph.from_edges(n, edges)
+
+
+def _integer(text: str) -> int:
+    """text as an int if it is ASCII digits after an optional '-', else
+    ValueError; int() also reads '1_0', '+3', ' 4 ' and non-ASCII digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def emit_edge_list(G: Graph, coloring: Coloring | None = None) -> str:

@@ -35,17 +35,18 @@ colored, restores the domains and resumes at the mark's index.
 Class sizes need no check in the loop: at a leaf each vertex has k
 colored neighbors, none beyond its row, and rows sum to k, so every
 count is exact; with a connected color graph every color is then used,
-at the size its ratios force (a_ij v_i = a_ji v_j).  So a matrix whose
-ratios do not divide n evenly is rejected up front, as is any matrix
-with a negative entry or failing weak symmetry, consistency, or color
-connectivity (all necessary on a connected graph).
+at the size its ratios force (a_ij v_i = a_ji v_j).  So a matrix is
+rejected up front when its ratios do not divide n evenly or the sizes
+they force break the class-size rule of graphs._sizes_fit, as is any
+matrix with a negative entry or failing weak symmetry, consistency, or
+color connectivity (all necessary on a connected graph).
 """
 
 from __future__ import annotations
 
 from .cam import (ColorAdjacencyMatrix, _Value, _ratios_or_none, _row_sum,
                   _scaled, entries_of)
-from .graphs import Coloring, Graph, platonic
+from .graphs import Coloring, Graph, _sizes_fit, platonic
 from .spectral import spectral_filter
 from .enumeration import enumerate_cams
 
@@ -78,8 +79,8 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
     Returns:
         A SearchOutcome; unrealizable matrices (including those with a
         negative entry, those failing the validity conditions, and those
-        whose class sizes cannot be integers on G.n vertices) simply come
-        back unrealizable.
+        whose class sizes on G.n vertices are not integers or break the
+        class-size rule) simply come back unrealizable.
 
     Raises:
         ValueError: if mode is unknown, A's row sums are not constant,
@@ -100,7 +101,8 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
         raise ValueError("search expects a connected graph")
     counting = mode == "count_all"
     ratios = _ratios_or_none(a)
-    if ratios is None or _scaled(ratios, G.n) is None:
+    sizes = None if ratios is None else _scaled(ratios, G.n)
+    if sizes is None or not _sizes_fit(a, sizes):
         return SearchOutcome(False, None, 0 if counting else None)
 
     adj = G.adj

@@ -341,3 +341,26 @@ def search_by_backtracking(graph, a) -> tuple[int, tuple[int, ...] | None]:
 
     extend(0)
     return len(found), (found[0] if found else None)
+
+
+def sizes_meet_bounds(a, sizes) -> bool:
+    """Whether class sizes meet the counting bounds of a perfect coloring
+    with matrix a on a simple graph, written out from the definition:
+    each vertex of class j has a_ji distinct neighbors of color i, other
+    than itself, so class i holds at least a_ji + [i = j] vertices; and
+    class i induces an a_ii-regular graph on its sizes[i] vertices,
+    whose degree sum a_ii sizes[i] is twice its edge count."""
+    m = len(a)
+    return (all(sizes[i] >= a[j][i] + (1 if i == j else 0)
+                for i in range(m) for j in range(m))
+            and all((a[i][i] * sizes[i]) % 2 == 0 for i in range(m)))
+
+
+def minimal_sizes_by_bounds(a) -> tuple[int, ...]:
+    """The least multiple of ratios_by_least_solution(a) that meets
+    sizes_meet_bounds, trying the multiples 1, 2, 3, ... in turn."""
+    ratios = ratios_by_least_solution(a)
+    lam = 1
+    while not sizes_meet_bounds(a, [lam * x for x in ratios]):
+        lam += 1
+    return tuple(lam * x for x in ratios)

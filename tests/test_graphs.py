@@ -15,6 +15,8 @@ from perfcol.enumeration import enumerate_cams
 from perfcol.graphs import (
     Coloring,
     Graph,
+    _integer,
+    _sizes_fit,
     build_witness,
     construct_biregular,
     construct_regular,
@@ -28,7 +30,7 @@ from perfcol.graphs import (
     verify_coloring,
 )
 
-from oracles import random_regular_edges
+from oracles import minimal_sizes_by_bounds, random_regular_edges
 
 
 # ------------------------------------------------------------------- Graph
@@ -342,6 +344,17 @@ def test_minimal_class_sizes_are_minimal_by_search():
         assert all(not feasible(t) for t in range(1, t_got)), a
 
 
+def test_minimal_class_sizes_match_the_bounds_oracle():
+    # the least multiple of the ratios that meets the bounds, with ratios
+    # and bounds both recomputed in the oracles.  Their ratio search is
+    # quick only for small ratio sums: m <= 3, and m = 4 up to k = 3
+    cases = [(m, k) for m in range(1, 4) for k in range(1, 6)]
+    for m, k in cases + [(4, 1), (4, 2), (4, 3)]:
+        for a in enumerate_cams(m, k).survivors:
+            assert minimal_class_sizes(a) == \
+                minimal_sizes_by_bounds(a.entries), a.entries
+
+
 # ------------------------------------------------------------ build_witness
 
 def test_build_witness_bipartite():
@@ -405,6 +418,8 @@ def test_build_witness_graph_passes_the_constructor():
                 assert Graph(g.n, g.adj) == g, a.entries
                 assert g.is_connected(), a.entries
                 assert coloring.class_sizes() == minimal_class_sizes(a), \
+                    a.entries
+                assert _sizes_fit(a.entries, coloring.class_sizes()), \
                     a.entries
 
 
@@ -500,6 +515,30 @@ def test_parse_graph_comments_and_blanks():
 def test_parse_graph_errors(text, message):
     with pytest.raises(ValueError, match=message):
         parse_graph(text)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("0", 0), ("17", 17), ("-3", -3), ("-0", 0), ("007", 7),
+    ("", None), ("-", None), ("--1", None), ("+3", None), ("1_0", None),
+    (" 4", None), ("4 ", None), ("\u0661", None), ("\u00b2", None),
+    ("1" * 5000, None),
+])
+def test_integer_syntax(text, value):
+    # the one integer syntax of the CLI's counts and parse_graph's fields
+    if value is None:
+        with pytest.raises(ValueError):
+            _integer(text)
+    else:
+        assert _integer(text) == value
+
+
+def test_parse_graph_signs():
+    # endpoints take a sign, as the CLI's counts do; the vertex count
+    # takes none, not even on zero
+    assert parse_graph("2\n-0 1\n").edges() == [(0, 1)]
+    for count in ("-0", "-2"):
+        with pytest.raises(ValueError, match="line 1: expected the vertex"):
+            parse_graph(count + "\n")
 
 
 def test_edge_list_round_trip():

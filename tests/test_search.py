@@ -11,7 +11,9 @@ from perfcol.cam import sizes_for
 from perfcol.enumeration import canonical_form, enumerate_cams
 from perfcol.golden import platonic_candidates
 from perfcol.graphs import (
+    PLATONIC_BUILDERS,
     Graph,
+    _sizes_fit,
     build_witness,
     construct_regular,
     minimal_class_sizes,
@@ -21,7 +23,7 @@ from perfcol.graphs import (
 from perfcol.search import SearchOutcome, find_perfect_coloring, platonic_survey
 
 from oracles import (all_colorings_brute_force, random_regular_edges,
-                     search_by_backtracking)
+                     search_by_backtracking, sizes_meet_bounds)
 
 
 # -------------------------------------------------------------- find one
@@ -221,6 +223,34 @@ def test_search_matches_backtracking_oracle_beyond_brute_force():
     assert (len(pairs), realizable) == (578, 312)
 
 
+def test_class_size_rule_refutes_only_pairs_without_a_coloring():
+    # the rule the search applies before it places a color, against
+    # plain backtracking: no pair it rejects has a coloring, so every
+    # pair with one passes it.  m <= 3 on the five solids and on random
+    # regular graphs of 12-20 vertices, with the rule itself checked
+    # against the bounds written out in the oracles
+    rng = random.Random(3)
+    graphs = [platonic(name) for name in PLATONIC_BUILDERS]
+    for k, n in ((3, 12), (3, 16), (3, 20), (4, 12), (4, 15), (4, 18),
+                 (5, 12), (5, 14)):
+        graphs.append(Graph.from_edges(n, random_regular_edges(rng, n, k)))
+    pairs = rejected = realizable = 0
+    for g in graphs:
+        for m in (1, 2, 3):
+            for a in enumerate_cams(m, g.regularity()).survivors:
+                sizes = sizes_for(a, g.n)
+                if sizes is None:
+                    continue
+                fits = _sizes_fit(a.entries, sizes)
+                assert fits == sizes_meet_bounds(a.entries, sizes), a.entries
+                count, _ = search_by_backtracking(g, a.entries)
+                assert fits or count == 0, (g.n, a.entries)
+                pairs += 1
+                rejected += not fits
+                realizable += count > 0
+    assert (pairs, rejected, realizable) == (281, 78, 44)
+
+
 def test_failed_cascade_is_undone():
     # BFS order 0, 4, 6, 7, 8, ...: with vertex 0 colored 1, color 1 at
     # vertex 4 forces six more vertices before a domain empties; all
@@ -244,7 +274,9 @@ def test_placements_are_pinned():
     # call per placement: the pins assume find_perfect_coloring makes
     # exactly one such call per placement and no other, so a change that
     # adds or drops a bit_length call there must re-derive both figures
-    # from a placement count, not loosen them.
+    # from a placement count, not loosen them.  The class-size rule
+    # refutes pairs before any placement: without it the figures were
+    # 5,839 and 3,225.
     code = find_perfect_coloring.__code__
     placed = 0
 
@@ -275,8 +307,8 @@ def test_placements_are_pinned():
     for k, n in ((3, 16), (3, 20), (4, 15)):
         g = Graph.from_edges(n, random_regular_edges(rng, n, k))
         randoms += [(g, a) for m in (2, 3) for a in enumerate_cams(m, k).survivors]
-    assert placements(solids, "count_all") == 5839
-    assert placements(randoms, "first") == 3225
+    assert placements(solids, "count_all") == 4741
+    assert placements(randoms, "first") == 2464
 
 
 def test_first_witnesses_are_pinned():

@@ -25,11 +25,11 @@ then one walk (_potentials) that assigns the sizes and decides the rest.
 Validation happens once, at the public boundary.  A public function
 normalizes its matrix argument with entries_of (which hands back the
 entries of a ColorAdjacencyMatrix as they are) and passes the nested
-int tuples to _-prefixed kernels.  The kernels, here and in the other
-modules, take already-normalized nested int tuples and never validate;
-internal callers that hold such tuples call the kernels, never the
-public functions.  Kernel output is wrapped by _cam without validation;
-matrices from outside still pass entries_of and the sign check.
+int tuples to _-prefixed kernels, here and in the other modules, which
+never validate.  Internal callers call the kernels, never the public
+functions, but for one: a survey calls spectral_filter, since the
+benchmark counts its traced calls.  Kernel output is wrapped by _cam
+unvalidated; matrices from outside pass entries_of and the sign check.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ from .graphs import (
     parse_graph,
     platonic,
 )
-from .search import find_perfect_coloring, platonic_survey
+from .search import _survey, find_perfect_coloring, platonic_survey
 from .spectral import char_poly, spectral_filter
 
 SOLIDS = tuple(PLATONIC_BUILDERS)
@@ -312,7 +312,7 @@ def cmd_search(args) -> tuple[str, int]:
 def cmd_survey(args) -> tuple[str, int]:
     _range_notice(args.colors, None)
     graph = platonic(args.platonic)
-    results = platonic_survey(args.platonic, args.colors, threads=args.threads)
+    results = _survey(graph, args.colors, args.threads)
     if args.dot_dir:
         directory = Path(args.dot_dir)
         directory.mkdir(parents=True, exist_ok=True)

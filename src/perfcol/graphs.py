@@ -296,7 +296,8 @@ def minimal_class_sizes(A) -> tuple[int, ...]:
 
 def _minimal_sizes(a) -> tuple[int, ...]:
     ratios = _ratios(a)
-    t = 1  # ends by max a_ij + 2: it or the t before it is even
+    # t v_i >= a_ji for all i, j; s_i > a_ii by t + 1, an even t by t + 2
+    t = max(-(-top // v) for top, v in zip(map(max, zip(*a)), ratios))
     while not _sizes_fit(a, [t * x for x in ratios]):
         t += 1
     return tuple(t * x for x in ratios)

@@ -35,11 +35,13 @@ colored, restores the domains and resumes at the mark's index.
 Class sizes need no check in the loop: at a leaf each vertex has k
 colored neighbors, none beyond its row, and rows sum to k, so every
 count is exact; with a connected color graph every color is then used,
-at the size its ratios force (a_ij v_i = a_ji v_j).  So a matrix is
-rejected up front when its ratios do not divide n evenly or the sizes
-they force break the class-size rule of graphs._sizes_fit, as is any
-matrix with a negative entry or failing weak symmetry, consistency, or
-color connectivity (all necessary on a connected graph).
+at the size its ratios force (a_ij v_i = a_ji v_j).  So a candidate is
+decided in one order: integer sizes (ratios dividing n), the spectrum
+(surveys only), the class-size rule of graphs._sizes_fit, then search.
+A negative entry or failed weak symmetry, consistency or connectivity
+(all necessary on a connected graph) leaves no integer sizes.  Both
+find_perfect_coloring, which validates at the boundary, and _survey,
+which has the sizes from the scan, hand them to the kernel _search.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
     if mode not in ("first", "count_all"):
         raise ValueError(f"unknown mode {mode!r}")
     a = entries_of(A)
-    m = len(a)
     k = _row_sum(a)
     if k is None:
         raise ValueError("matrix row sums must be constant")
@@ -99,17 +100,22 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
     order = G.bfs_order(0)
     if len(order) != G.n:
         raise ValueError("search expects a connected graph")
-    counting = mode == "count_all"
     ratios = _ratios_or_none(a)
     sizes = None if ratios is None else _scaled(ratios, G.n)
+    return _search(G, order, a, sizes, mode == "count_all")
+
+
+def _search(G, order, a, sizes, counting: bool) -> SearchOutcome:
+    """The search kernel: G connected and regular of a's row sum, order
+    G.bfs_order(0), sizes a's class sizes on G.n vertices (None if not
+    integers); counting as mode "count_all"."""
     if sizes is None or not _sizes_fit(a, sizes):
         return SearchOutcome(False, None, 0 if counting else None)
-
+    m = len(a)
     adj = G.adj
     n = G.n
-    # fits[i][x]: the colors (as a bitmask) whose row allows x neighbors
-    # of color i
-    fits = [[0] * (k + 1) for _ in range(m)]
+    # fits[i][x]: the colors (as a bitmask) whose row allows x of color i
+    fits = [[0] * (sum(a[0]) + 1) for _ in range(m)]
     for c, row in enumerate(a):
         for i, most in enumerate(row):
             for x in range(most + 1):
@@ -204,22 +210,25 @@ def find_perfect_coloring(G: Graph, A, mode: str = "first") -> SearchOutcome:
 
 
 def platonic_survey(name: str, m: int, threads: int | None = None):
-    """The full candidate pipeline for one Platonic graph and m colors.
+    """The candidate pipeline for one Platonic graph and m colors.
 
-    Enumerates all survivors for (m, degree of the solid), keeps those
-    whose class sizes are integers on the solid's vertex count and whose
-    characteristic polynomial divides the graph's, then decides
-    realizability of each by search.  Returns (matrix, outcome) pairs in
-    canonical order.  threads as in enumerate_cams: None or 1 is one process.
+    (matrix, outcome) pairs, in canonical order, for the survivors at
+    (m, degree of the solid) whose class sizes on the solid are integers
+    and whose spectrum passes spectral_filter; the outcome is a "first"
+    search.  threads as in enumerate_cams: None or 1 is one process.
     """
-    graph = platonic(name)
-    degree = graph.regularity()
-    result = enumerate_cams(m, degree, threads=threads)
+    return _survey(platonic(name), m, threads)
+
+
+def _survey(graph: Graph, m: int, threads: int | None):
+    """platonic_survey's pipeline on any connected regular graph."""
+    order = graph.bfs_order(0)
+    result = enumerate_cams(m, graph.regularity(), threads=threads)
     survey: list[tuple[ColorAdjacencyMatrix, SearchOutcome]] = []
     for candidate, ratios in zip(result.survivors, result.ratios):
-        if _scaled(ratios, graph.n) is None:
-            continue
-        if not spectral_filter(candidate, graph):
-            continue
-        survey.append((candidate, find_perfect_coloring(graph, candidate)))
+        sizes = _scaled(ratios, graph.n)
+        # the public spectral_filter: the benchmark times its traced calls
+        if sizes is not None and spectral_filter(candidate, graph):
+            outcome = _search(graph, order, candidate.entries, sizes, False)
+            survey.append((candidate, outcome))
     return survey

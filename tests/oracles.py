@@ -364,3 +364,55 @@ def minimal_sizes_by_bounds(a) -> tuple[int, ...]:
     while not sizes_meet_bounds(a, [lam * x for x in ratios]):
         lam += 1
     return tuple(lam * x for x in ratios)
+
+
+def equitable_quotients(graph, m: int) -> set[tuple[tuple[int, ...], ...]]:
+    """The quotient matrices of the equitable partitions of a graph's
+    vertices into exactly m blocks, each as its smallest conjugate whose
+    class sizes stay nondecreasing.
+
+    A partition is equitable when every vertex of block i has the same
+    number q_ij of neighbors in block j; the perfect colorings are
+    exactly the equitable partitions, with (q_ij) as matrix (Godsil and
+    Royle, Algebraic Graph Theory, 2001, ch. 9).  The partitions are
+    walked as restricted growth strings: vertex 0 opens block 0, and
+    each later vertex joins an open block or opens the next one.
+    """
+    n = graph.n
+    adj = [list(graph.adj[v]) for v in range(n)]
+    block = [0] * n
+    found = set()
+
+    def quotient():
+        rows = [None] * m
+        for v in range(n):
+            row = [0] * m
+            for u in adj[v]:
+                row[block[u]] += 1
+            if rows[block[v]] is None:
+                rows[block[v]] = row
+            elif rows[block[v]] != row:
+                return None
+        return rows
+
+    def grow(v: int, opened: int) -> None:
+        if v == n:
+            q = quotient()
+            if q is not None:
+                sizes = [block.count(b) for b in range(m)]
+                found.add(min(
+                    tuple(tuple(q[p[i]][p[j]] for j in range(m))
+                          for i in range(m))
+                    for p in permutations(range(m))
+                    if all(sizes[p[i]] <= sizes[p[i + 1]]
+                           for i in range(m - 1))))
+            return
+        # every block still to open needs a vertex of its own
+        first = 0 if n - v > m - opened else opened
+        for b in range(first, min(opened + 1, m)):
+            block[v] = b
+            grow(v + 1, max(opened, b + 1))
+
+    if 0 < m <= n:
+        grow(1, 1)
+    return found

@@ -299,6 +299,26 @@ def test_construct_biregular_degrees_hold(case):
 
 # -------------------------------------------------------------- class sizes
 
+def test_minimal_class_sizes_try_at_most_three_multiples(monkeypatch):
+    # from the entry bound t, t + 1 meets s_i > a_ii and t + 1 or t + 2
+    # is even, so the rule is tried at most three times per matrix
+    import perfcol.graphs as graphs
+    matrices = [a.entries for m in range(1, 5) for k in range(1, 6)
+                for a in enumerate_cams(m, k).survivors]
+    rule = graphs._sizes_fit
+    tried = []
+
+    def counted(a, sizes):
+        tried.append(sizes)
+        assert len(tried) <= 3, (a, tried)
+        return rule(a, sizes)
+
+    monkeypatch.setattr(graphs, "_sizes_fit", counted)
+    for a in matrices + [((10**12,),), ((1, 1), (1, 1))]:
+        tried.clear()
+        minimal_class_sizes(a)
+
+
 def test_minimal_class_sizes_examples():
     assert minimal_class_sizes(((1, 3), (3, 1))) == (4, 4)
     assert minimal_class_sizes(((0, 3), (3, 0))) == (3, 3)
@@ -315,6 +335,13 @@ def test_minimal_class_sizes_parity_bump():
     # even only when a_ii is odd
     assert minimal_class_sizes(((1, 1), (1, 1))) == (2, 2)
     assert minimal_class_sizes(((3, 2), (2, 3))) == (4, 4)
+
+
+def test_minimal_class_sizes_start_at_the_entry_bound():
+    # the multiples start at the least t with t v_i >= a_ji, not at 1, so
+    # a huge entry costs no more steps than a small one
+    assert minimal_class_sizes([[10**12]]) == (10**12 + 1,)
+    assert minimal_class_sizes([[0, 10**12], [10**12, 0]]) == (10**12,) * 2
 
 
 def test_minimal_class_sizes_are_minimal_by_search():

@@ -20,10 +20,12 @@ from perfcol.graphs import (
     platonic,
     verify_coloring,
 )
-from perfcol.search import SearchOutcome, find_perfect_coloring, platonic_survey
+from perfcol.search import (SearchOutcome, _search, _survey,
+                            find_perfect_coloring, platonic_survey)
 
-from oracles import (all_colorings_brute_force, random_regular_edges,
-                     search_by_backtracking, sizes_meet_bounds)
+from oracles import (all_colorings_brute_force, equitable_quotients,
+                     random_regular_edges, search_by_backtracking,
+                     sizes_meet_bounds)
 
 
 # -------------------------------------------------------------- find one
@@ -271,13 +273,13 @@ def test_placements_are_pinned():
     # colors placed, decided or forced: the work that forcing saves and
     # no outcome shows, since a search that forced nothing would meet the
     # same solutions in the same order.  Counted at the one bit_length
-    # call per placement: the pins assume find_perfect_coloring makes
+    # call per placement: the pins assume the kernel _search makes
     # exactly one such call per placement and no other, so a change that
     # adds or drops a bit_length call there must re-derive both figures
     # from a placement count, not loosen them.  The class-size rule
     # refutes pairs before any placement: without it the figures were
     # 5,839 and 3,225.
-    code = find_perfect_coloring.__code__
+    code = _search.__code__
     placed = 0
 
     def hook(frame, event, arg):
@@ -387,3 +389,25 @@ def test_survey_matches_public_pipeline():
                     if sizes_for(a, g.n) is not None and spectral_filter(a, g)]
             want = [(a, find_perfect_coloring(g, a)) for a in kept]
             assert platonic_survey(solid, int(m)) == want, (solid, m)
+
+
+def test_survey_realizes_exactly_the_equitable_partitions():
+    # the perfect colorings of a graph are its equitable partitions, so
+    # the survey on any connected regular graph must call realizable
+    # exactly the quotients of the partitions into m blocks: random cubic
+    # and quartic graphs at m = 2-4, and three solids at m = 5
+    rng = random.Random(6)
+    cases = [(Graph.from_edges(n, random_regular_edges(rng, n, k)), m)
+             for k, n in ((3, 8), (3, 8), (3, 10), (3, 10),
+                          (4, 8), (4, 9), (4, 10), (4, 10))
+             for m in (2, 3, 4)]
+    cases += [(platonic(name), 5)
+              for name in ("tetrahedron", "cube", "octahedron")]
+    realizable = refuted = 0
+    for g, m in cases:
+        survey = _survey(g, m, None)
+        got = {a.entries for a, outcome in survey if outcome.realizable}
+        assert got == equitable_quotients(g, m), (g.n, g.adj, m)
+        realizable += len(got)
+        refuted += len(survey) - len(got)
+    assert (len(cases), realizable, refuted) == (27, 32, 17)

@@ -38,13 +38,17 @@ ratios, that the matrix is the smallest of its ratio-order-keeping
 conjugates.  There v is nondecreasing, so these are the relabelings
 inside its runs of tied ratios, built once per tie pattern.  Check (d)
 and the leaf are one prefix test, _smaller: does a relabeling that maps
-0..d-1 onto itself make rows 0..d-1 smaller?  (d) asks it of the swaps
-of i with its tied colors at d = i+1, the leaf of its tie pattern's
-relabelings at d = m.  Rows are drawn in lexicographic order, so the
-leaves arrive sorted, and each class is emitted exactly once, without a
-set of keys or a sort.  A kept leaf hands back its potentials reduced by
-their gcd: they are its class ratios, so no caller walks the survivors
-again to find them.
+0..d-1 onto itself make rows 0..d-1 smaller?  The scan carries the
+placed rows as one flat row-major tuple, and a relabeling is one
+itemgetter of its first d rows over that tuple, so the test is a single
+lookup and tuple comparison per relabeling; row-major tuple order is
+the row-by-row order.  (d) asks it of the swaps of i with its tied
+colors at d = i+1, the leaf of its tie pattern's relabelings at d = m,
+and canonical_form takes the smallest image under the same getters.
+Rows are drawn in lexicographic order, so the leaves arrive sorted, and
+each class is emitted exactly once, without a set of keys or a sort.  A
+kept leaf hands back its potentials reduced by their gcd: they are its
+class ratios, so no caller walks the survivors again to find them.
 
 Cache policy: memoize results keyed by public arguments, never per-call
 tables.  The memo sites: enumerate_cams per (m, k), unbounded, holding
@@ -52,7 +56,8 @@ the survivors with their ratios;
 spectral._graph_char_poly per Graph, at most 64; golden.load per file
 name, at most the five shipped files.  Each scan rebuilds its tables:
 the compositions, their prefix table, the prefixes of each box, the
-swap getter of each color pair and the relabelings of each tie pattern.
+flat swap getter of each color pair and the flat relabeling getters of
+each tie pattern.
 """
 
 from __future__ import annotations
@@ -141,42 +146,50 @@ def _canonical(a, tables):
     """The smallest conjugate of a whose ratios stay nondecreasing.
 
     Sort the colors by ratio, then take the smallest of the relabelings
-    inside the runs of tied ratios.
+    inside the runs of tied ratios, on the flat row-major entries.
     """
     ratios = _ratios(a)
-    order = sorted(range(len(a)), key=ratios.__getitem__)
-    a = tuple(tuple(a[i][j] for j in order) for i in order)
+    m = len(a)
+    order = sorted(range(m), key=ratios.__getitem__)
+    flat = tuple([a[i][j] for i in order for j in order])
     relabelings = _relabelings(sorted(ratios), tables)
-    return min((a, *(tuple(map(get, get(a))) for get in relabelings)))
+    best = min((flat, *(get(flat) for get in relabelings)))
+    return tuple(best[r:r + m] for r in range(0, m * m, m))
+
+
+def _flat_getter(perm, depth: int):
+    """An itemgetter that relabels the colors of rows 0..depth-1 of a
+    flat row-major m x m tuple by perm: its entry (r, c) is entry
+    (perm[r], perm[c]).  perm maps 0..depth-1 onto itself, so every
+    index is below depth * m; depth * m >= 2 keeps the result a tuple."""
+    m = len(perm)
+    return itemgetter(*(p * m + q for p in perm[:depth] for q in perm))
 
 
 def _relabelings(w, tables):
-    """Itemgetters for the relabelings other than the identity inside
-    the runs of tied values of the nondecreasing w, built once per tie
-    pattern in tables."""
+    """Flat getters for the relabelings other than the identity inside
+    the runs of tied values of the nondecreasing w, over all rows, built
+    once per tie pattern in tables."""
     ties = tuple(map(eq, w, w[1:]))
     if ties not in tables:
         runs = [tuple(g) for _, g in groupby(range(len(w)), key=w.__getitem__)]
         perms = product(*map(permutations, runs))
         next(perms)
-        tables[ties] = [itemgetter(*chain.from_iterable(p)) for p in perms]
+        tables[ties] = [_flat_getter(tuple(chain.from_iterable(p)), len(w))
+                        for p in perms]
     return tables[ties]
 
 
-def _smaller(rows, relabelings, depth: int) -> bool:
-    """True iff one of relabelings makes rows 0..depth-1 smaller.
+def _smaller(flat, relabelings) -> bool:
+    """True iff one of relabelings makes the flat rows smaller.
 
-    Each relabeling maps 0..depth-1 onto itself, so later rows (unset or
-    stale in the scan) are never compared.  Each conjugate is built row
-    by row up to its first row that differs.
+    flat holds rows 0..d-1 row-major, and each relabeling is a depth-d
+    flat getter, so later rows (unset in the scan) are never read.
+    Row-major tuple order is the row-by-row order.
     """
     for get in relabelings:
-        for row, other in zip(rows[:depth], get(rows)):
-            other = get(other)
-            if other != row:
-                if other < row:
-                    return True
-                break
+        if get(flat) < flat:
+            return True
     return False
 
 
@@ -237,12 +250,16 @@ def _scan_range(m: int, k: int, first: int, stride: int):
     smallest of its ratio-order-keeping conjugates.  Row i is drawn from
     the compositions whose first i entries lie in the box set by column
     i of the rows above it, which keeps rows 0..i weakly symmetric.  A
-    node carries the potentials v of the placed colors and their
-    components, each as (members, support mask of its rows), and drops
-    row i by the module's checks: (a) consistency, (b) ratio order, (c)
-    a closed component and (d) a smaller swap of tied colors.  Bit i of
-    a mask is the touched test; by (c) the last depth touches every
-    component, and its leaf only tests canonicity by the prefix test of (d).
+    node carries the rows above it as one flat row-major tuple (column i
+    is its slice above[i::m]), the potentials v of the placed colors and
+    their components, each as (members, support mask of its rows), and
+    drops row i by the module's checks: (a) consistency, (b) ratio
+    order, (c) a closed component and (d) a smaller swap of tied colors,
+    tested on above + row i by flat getters.  Bit i of a mask is the
+    touched test; by (c) the last depth touches every component, and its
+    leaf only tests canonicity by the prefix test of (d).  The list rows
+    holds the same rows as composition tuples, which a kept leaf copies,
+    so the survivors share them.
     """
     comps = _compositions(k, m)
     by_prefix: dict[tuple[int, ...], list[tuple[int, ...]]] = {
@@ -252,15 +269,16 @@ def _scan_range(m: int, k: int, first: int, stride: int):
             by_prefix.setdefault(c[:i], []).append(c)
     boxes: dict[tuple[int, ...], list] = {}
     tables: dict[tuple[bool, ...], list] = {}
-    swap = {(t, i): itemgetter(*(t if x == i else i if x == t else x
-                                 for x in range(m)))
+    swap = {(t, i): _flat_getter(
+                [t if x == i else i if x == t else x for x in range(m)], i + 1)
             for t, i in combinations(range(m), 2)}
     support = {c: sum(1 << j for j, x in enumerate(c) if x) for c in comps}
     out = []
     rows: list[tuple[int, ...]] = [()] * m
 
-    def descend(i: int, v: list[int], parts: list[tuple[list[int], int]]):
-        col = tuple([row[i] for row in rows[:i]])
+    def descend(i: int, above: tuple[int, ...], v: list[int],
+                parts: list[tuple[list[int], int]]):
+        col = above[i::m]
         if col not in boxes:
             box = (range(1, x + 1) if x else (0,) for x in col)
             boxes[col] = [(p, by_prefix[p]) for p in product(*box)
@@ -286,18 +304,20 @@ def _scan_range(m: int, k: int, first: int, stride: int):
                 _relabelings(w, tables) if i == m - 1 else
                 [swap[t, i] for t in members[:-1] if w[t] == w[i]])
             for c in cands:
-                rows[i] = c
+                flat = above + c
                 if i == m - 1:
-                    if not _smaller(rows, relabelings, m):
+                    if not _smaller(flat, relabelings):
+                        rows[i] = c
                         g = gcd(*w)
                         out.append((tuple(rows), tuple(x // g for x in w)))
                     continue
                 mask = reach | support[c]
                 if mask >> (i + 1) and not _smaller(  # checks (c) and (d)
-                        rows, relabelings, i + 1):
-                    descend(i + 1, w, rest + [(members, mask)])
+                        flat, relabelings):
+                    rows[i] = c
+                    descend(i + 1, flat, w, rest + [(members, mask)])
 
-    descend(0, [], [])
+    descend(0, (), [], [])
     return out
 
 

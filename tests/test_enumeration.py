@@ -180,7 +180,7 @@ def test_canonical_form_is_conjugation_invariant():
             assert canonical_form(conjugate(a.entries, perm).entries) == a
 
 
-@pytest.mark.parametrize("m, k", [(4, 4), (5, 3)])
+@pytest.mark.parametrize("m, k", [(4, 4), (5, 3), (4, 5)])
 def test_canonical_form_matches_definition_oracle(m, k):
     rng = random.Random(m * 10 + k)
     for a in enumerate_cams(m, k).survivors:
@@ -406,9 +406,9 @@ def test_scan_funnel_is_pinned(monkeypatch, m, k, extend, d_calls, d_true,
         calls["extend"] += 1
         return extend_fn(*args)
 
-    def counted_smaller(rows, relabelings, depth):
-        result = smaller_fn(rows, relabelings, depth)
-        tally = calls["leaf" if depth == m else "d"]
+    def counted_smaller(flat, relabelings):
+        result = smaller_fn(flat, relabelings)
+        tally = calls["leaf" if len(flat) == m * m else "d"]
         tally[0] += 1
         tally[1] += result
         return result
@@ -422,17 +422,32 @@ def test_scan_funnel_is_pinned(monkeypatch, m, k, extend, d_calls, d_true,
 
 
 def test_smaller_ignores_rows_from_depth_on():
-    from operator import itemgetter
-    from perfcol.enumeration import _smaller
-    swap01 = itemgetter(1, 0, 2)
+    from perfcol.enumeration import _flat_getter, _smaller
+    swap01 = _flat_getter((1, 0, 2), 2)
     # exchanging colors 0 and 1 turns rows 0..1 of the first matrix into
-    # ((1,0,2),(2,1,0)) and leaves those of the second as they are,
-    # whatever stands in row 2 (unset during the scan, or any row)
-    for last in ((), (0, 0, 3), (3, 0, 0)):
-        assert _smaller([(1, 2, 0), (0, 1, 2), last], [swap01], 2)
-        assert not _smaller([(0, 1, 2), (1, 0, 2), last], [swap01], 2)
+    # ((1,0,2),(2,1,0)) and leaves those of the second as they are; a
+    # depth-2 getter reads nothing of row 2 (unset during the scan, or
+    # any row)
+    first, second = (1, 2, 0, 0, 1, 2), (0, 1, 2, 1, 0, 2)
+    assert _smaller(first, [swap01])
+    assert not _smaller(second, [swap01])
+    for last in ((0, 0, 3), (3, 0, 0)):
+        assert swap01(first + last) == swap01(first)
+        assert swap01(second + last) == swap01(second)
     # at depth 3 row 2 is compared, and (0, 3, 0) < (3, 0, 0)
-    assert _smaller([(0, 1, 2), (1, 0, 2), (3, 0, 0)], [swap01], 3)
+    assert _smaller(second + (3, 0, 0), [_flat_getter((1, 0, 2), 3)])
+    # a depth-d getter reads each index below d*m once, and its entry
+    # (r, c) is entry (perm[r], perm[c])
+    for m in (2, 3, 4):
+        flat = tuple(range(100, 100 + m * m))
+        for perm in permutations(range(m)):
+            for d in range(1, m + 1):
+                if sorted(perm[:d]) != list(range(d)):
+                    continue
+                get = _flat_getter(perm, d)
+                assert sorted(get(range(m * m))) == list(range(d * m))
+                assert get(flat) == tuple(flat[perm[r] * m + perm[c]]
+                                          for r in range(d) for c in range(m))
 
 
 @pytest.mark.parametrize("m,k", [(4, 5), (5, 3)])
@@ -462,6 +477,39 @@ def test_enumerate_threaded_matches_single():
         finally:
             enumeration._memo[(m, k)] = single
         assert threaded == single, (m, k)
+
+
+def test_enumerate_starts_a_pool_only_for_two_first_rows_per_process(
+        monkeypatch):
+    # (2, 3) has binom(4, 1) = 4 first rows: two processes get two each,
+    # three would not, and threads None or 1 scan in this process
+    import multiprocessing
+    import perfcol.enumeration as enumeration
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, function, arguments):
+            return [function(*args) for args in arguments]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    single = enumerate_cams(2, 3)
+    try:
+        for threads, pools in ((None, []), (1, []), (2, [2]), (3, [])):
+            started.clear()
+            enumeration._memo.pop((2, 3), None)
+            assert enumerate_cams(2, 3, threads=threads) == single, threads
+            assert started == pools, threads
+    finally:
+        enumeration._memo[(2, 3)] = single
 
 
 def _validated_sizes():

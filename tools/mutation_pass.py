@@ -6,9 +6,11 @@ its partner (< and <=, == and !=, + and -, & and |, ...), a `not` is
 dropped, True and False trade places, or an integer constant grows by
 one.  Annotations are left alone.  The mutated module is written into a
 fresh copy of src/ and tests/, and the given test files run there with
--x; a mutant that no test fails survived.  A mutant that runs past the
-timeout (five times the unmutated run, plus 30 s) or past 1.5 GiB of
-address space counts as killed.
+-x; a mutant that no test fails survived.  A mutant that runs past
+1.5 GiB of address space fails its run and counts as killed.  A mutant
+that runs past the timeout (five times the unmutated run, plus 30 s)
+is neither: it is counted and listed as timed out, since a test that
+never ends has not shown the change wrong.
 
     python tools/mutation_pass.py search.py:find_perfect_coloring \\
         graphs.py:Graph.bfs_order \\
@@ -16,9 +18,10 @@ address space counts as killed.
 
 A target is a module under src/perfcol and a function's dotted name in
 it.  The unmutated code is run first and must pass.  Prints one line
-per mutant and the survivors at the end.  Mutants run side by side,
-one per CPU the process may use.  This file is not a test, and pytest
-does not collect it (tests live under tests/).
+per mutant, then a summary line with the counts, then the survivors and
+the timed-out mutants.  Mutants run side by side, one per CPU the
+process may use.  This file is not a test, and pytest does not collect
+it (tests live under tests/).
 """
 
 from __future__ import annotations
@@ -183,17 +186,20 @@ def main(argv=None) -> int:
         return (f"{module}:{target} {where}",
                 run_tests(module, text, args.tests, timeout))
 
-    survivors = []
+    found = {"survived": [], "timeout": []}
     # one test run at a time per CPU this process may use
     with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
         for label, verdict in pool.map(one, plan):
             print(f"{verdict:8}  {label}", flush=True)
-            if verdict == "survived":
-                survivors.append(label)
-    print(f"{len(plan)} mutants, {len(survivors)} survived, "
+            if verdict in found:
+                found[verdict].append(label)
+    print(f"{len(plan)} mutants, {len(found['survived'])} survived, "
+          f"{len(found['timeout'])} timed out, "
           f"{time.perf_counter() - started:.0f} s")
-    for label in survivors:
+    for label in found["survived"]:
         print(f"  survived: {label}")
+    for label in found["timeout"]:
+        print(f"  timed out: {label}")
     return 0
 
 

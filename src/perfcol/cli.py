@@ -71,6 +71,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory: the input is too large", file=sys.stderr)
         return 1
+    except OverflowError:
+        print("error: the input is too large", file=sys.stderr)
+        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -395,6 +395,21 @@ def test_huge_declared_vertex_count_is_domain_error(tmp_path, command, text):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "-m", "99999999999999999999", "-k", "1", "--count-only"],
+    ["enumerate", "-m", "3", "-k", "99999999999999999999", "--count-only"],
+    ["enumerate", "-m", "2", "-k", "9223372036854775807", "--count-only"],
+    ["survey", "--platonic", "cube", "-m", "99999999999999999999"],
+], ids=["enumerate-m", "enumerate-k", "enumerate-k-max-ssize", "survey-m"])
+def test_oversized_colors_or_degree_is_one_error_line(capsys, argv):
+    # the composition table cannot be indexed past a machine word, which
+    # is known before anything is allocated
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_search_missing_graph_file(capsys):
     code, _, err = run(capsys, "search", "--graph", "/no/such/file",
                        "--matrix", "[[0,3],[1,2]]")

@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 import time
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import comb
 
 import pytest
@@ -404,6 +404,20 @@ def test_scan_funnel_is_pinned(monkeypatch, m, k, extend, d_calls, d_true,
 
     def counted_extend(*args):
         calls["extend"] += 1
+        v, touched, members = args[0], args[3], args[4]
+        # the scan builds member lists in index order, so one touched
+        # component plus row i needs no sort; None at the last depth
+        # stands for every color, since the last row touches every part
+        i = len(v)
+        for part, _ in touched:
+            assert all(map(int.__lt__, part, part[1:])) and part[-1] < i
+        if i == m - 1:
+            assert members is None
+            assert sorted(chain.from_iterable(p for p, _ in touched)) == [
+                *range(i)]
+        else:
+            assert all(map(int.__lt__, members, members[1:]))
+            assert members[-1] == i
         return extend_fn(*args)
 
     def counted_smaller(flat, relabelings):

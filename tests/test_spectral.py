@@ -62,6 +62,24 @@ def test_char_poly_rejects_non_square():
         char_poly(((1, 2, 3), (4, 5, 6)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_char_poly_takes_n_minus_one_products(monkeypatch, n):
+    # M_n is never read, so a product past the last coefficient would
+    # cost a step without moving any output
+    import perfcol.spectral as spectral
+    calls = []
+    combine = spectral._combine
+
+    def counted(row, work, size):
+        calls.append(size)
+        return combine(row, work, size)
+
+    monkeypatch.setattr(spectral, "_combine", counted)
+    rows = [[(i + j) % 3 for j in range(n)] for i in range(n)]
+    assert char_poly(rows).coefficients == sympy_char_poly(rows)
+    assert calls == [n] * (n * (n - 1))
+
+
 def test_char_poly_handles_negative_entries():
     rows = ((2, -3), (-1, 0))
     assert char_poly(rows).coefficients == sympy_char_poly(rows)

@@ -3,10 +3,12 @@
 Each mutant changes one site of one target function: a comparison,
 arithmetic, bitwise, boolean or augmented-assignment operator becomes
 its partner (< and <=, == and !=, + and -, & and |, ...), a `not` is
-dropped, True and False trade places, or an integer constant grows by
-one.  Annotations are left alone.  The mutated module is written into a
-fresh copy of src/ and tests/, and the given test files run there with
--x; a mutant that no test fails survived.  A mutant that runs past
+dropped, True and False trade places, an integer constant grows by one,
+or a slice bound or step e that is given becomes e + 1 (x[:d] becomes
+x[:d + 1]; an integer constant there already grows by one, so it gets
+no second mutant).  Annotations are left alone.  The mutated module is
+written into a fresh copy of src/ and tests/, and the given test files
+run there with -x; a mutant that no test fails survived.  A mutant that runs past
 1.5 GiB of address space fails its run and counts as killed.  A mutant
 that runs past the timeout (five times the unmutated run, plus 30 s)
 is neither: it is counted and listed as timed out, since a test that
@@ -54,6 +56,7 @@ PARTNERS = {
     ast.LShift: ast.RShift, ast.RShift: ast.LShift,
     ast.And: ast.Or, ast.Or: ast.And, ast.USub: ast.UAdd,
 }
+SLICE_FIELDS = ("lower", "upper", "step")
 
 
 def find_function(tree: ast.Module, dotted: str) -> ast.AST:
@@ -80,7 +83,8 @@ class _DropNot(ast.NodeTransformer):
 def sites(function: ast.AST) -> list:
     """(node, slot, description) for every mutable site, in source order.
 
-    slot is an index into a Compare's ops, or None for the node itself.
+    slot is an index into a Compare's ops or into SLICE_FIELDS, or None
+    for the node itself.
     """
     skip = set()
     for node in ast.walk(function):
@@ -102,13 +106,23 @@ def sites(function: ast.AST) -> list:
                                ast.UnaryOp)):
             if type(node.op) in PARTNERS:
                 found.append((node, None, swap_text(node.op)))
+        elif isinstance(node, ast.Slice):
+            for slot, field in enumerate(SLICE_FIELDS):
+                bound = getattr(node, field)
+                if bound is not None and not _int_constant(bound):
+                    text = ast.unparse(bound)
+                    found.append((node, slot, f"{field} {text} -> {text} + 1"))
         elif isinstance(node, ast.Constant) and type(node.value) is bool:
             found.append((node, None, f"{node.value} -> {not node.value}"))
-        elif isinstance(node, ast.Constant) and type(node.value) is int:
+        elif _int_constant(node):
             found.append((node, None, f"{node.value} -> {node.value + 1}"))
     found.sort(key=lambda site: (site[0].lineno, site[0].col_offset,
                                  site[1] or 0))
     return found
+
+
+def _int_constant(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is int
 
 
 def swap_text(op: ast.AST) -> str:
@@ -119,7 +133,11 @@ def mutant_source(source: str, target: str, number: int):
     """The module text with site `number` of the target changed."""
     tree = ast.parse(source)
     node, slot, text = sites(find_function(tree, target))[number]
-    if slot is not None:
+    if isinstance(node, ast.Slice):
+        field = SLICE_FIELDS[slot]
+        setattr(node, field,
+                ast.BinOp(getattr(node, field), ast.Add(), ast.Constant(1)))
+    elif slot is not None:
         node.ops[slot] = PARTNERS[type(node.ops[slot])]()
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
         tree = _DropNot(node).visit(tree)

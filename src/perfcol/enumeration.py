@@ -33,25 +33,23 @@ the support of its member rows, is check (c) by its bits above i and the
 test whether row i touches it by bit i.  A bit j < m-1 past the depth
 where a component last grew would have made row j touch it, so by (c)
 every component reaches color m-1: the last row joins them all, with no
-partition or connectivity pass, and check (b) there reads all of v.
-Member lists grow in index order, so a row that touches one component
-appends itself to that component's list, with no sort.  The leaf only
-checks, with v as the ratios, that the matrix is the smallest of its
-ratio-order-keeping conjugates.  There v is nondecreasing, so these are
-the relabelings inside its runs of tied ratios, built once per tie
-pattern.  Check (d) and the leaf are one prefix test, _smaller: does a
-relabeling that maps 0..d-1 onto itself make rows 0..d-1 smaller?  The
+partition or connectivity pass, and check (b) there reads all of v.  The
+leaf only checks, with v as the ratios, that the matrix is the smallest
+of its ratio-order-keeping conjugates.  There v is nondecreasing, so
+these are the relabelings inside its runs of tied ratios, built once per
+tie pattern.  Check (d) and the leaf are one prefix test, _smaller: does
+a relabeling that maps 0..d-1 onto itself make rows 0..d-1 smaller?  The
 scan carries the placed rows as one flat row-major tuple, and a
-relabeling is one itemgetter of its first d rows over that tuple, so
-the test is a single lookup and tuple comparison per relabeling;
-row-major tuple order is the row-by-row order.  (d) asks it of the
-swaps of i with its tied colors at d = i+1, the leaf of its tie
-pattern's relabelings at d = m, and canonical_form takes the smallest
-image under the same getters.  Rows are drawn in lexicographic order,
-so the leaves arrive sorted, and each class is emitted exactly once,
-without a set of keys or a sort.  A kept leaf hands back its potentials
-reduced by their gcd: they are its class ratios, so no caller walks the
-survivors again to find them.
+relabeling is one itemgetter of its first d rows over that tuple, so the
+test is a single lookup and tuple comparison per relabeling; row-major
+tuple order is the row-by-row order.  (d) asks it of the swaps of i with
+its tied colors at d = i+1, the leaf of its tie pattern's relabelings at
+d = m, and canonical_form takes the smallest image under the same
+getters.  Rows are drawn in lexicographic order, so the leaves arrive
+sorted, and each class is emitted exactly once, without a set of keys or
+a sort.  A kept leaf hands back its potentials reduced by their gcd:
+they are its class ratios, so no caller walks the survivors again to
+find them.
 
 Cache policy: memoize results keyed by public arguments, never per-call
 tables.  The memo sites: enumerate_cams per (m, k), unbounded, holding
@@ -259,12 +257,11 @@ def _scan_range(m: int, k: int, first: int, stride: int):
     its rows), and drops row i by the module's checks: (a) consistency,
     (b) ratio order, (c) a closed component and (d) a smaller swap of
     tied colors, tested on above + row i by flat getters.  Bit i of a
-    mask is the touched test; the merged members are the touched lists
-    plus i, sorted only when row i touches more than one.  By (c) the
-    last depth touches every component, so its members are every color
-    (None to _extend), and its leaf only tests canonicity by the prefix
-    test of (d).  The list rows holds the same rows as composition
-    tuples, which a kept leaf copies, so the survivors share them.
+    mask is the touched test; by (c) the last depth touches every
+    component, so its members are every color (None to _extend), and its
+    leaf only tests canonicity by the prefix test of (d).  The list rows
+    holds the same rows as composition tuples, which a kept leaf copies,
+    so the survivors share them.
     """
     comps = _compositions(k, m)
     by_prefix: dict[tuple[int, ...], list[tuple[int, ...]]] = {
@@ -296,8 +293,8 @@ def _scan_range(m: int, k: int, first: int, stride: int):
             touched, rest = [], []
             for part in parts:
                 (touched if part[1] >> i & 1 else rest).append(part)
-            members = (touched[0][0] if len(touched) == 1 else sorted(
-                chain.from_iterable(p[0] for p in touched))) + [i]
+            members = sorted(chain.from_iterable(p[0] for p in touched))
+            members.append(i)
             reach = 0
             for _, mask in touched:
                 reach |= mask

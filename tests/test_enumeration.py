@@ -405,9 +405,9 @@ def test_scan_funnel_is_pinned(monkeypatch, m, k, extend, d_calls, d_true,
     def counted_extend(*args):
         calls["extend"] += 1
         v, touched, members = args[0], args[3], args[4]
-        # the scan builds member lists in index order, so one touched
-        # component plus row i needs no sort; None at the last depth
-        # stands for every color, since the last row touches every part
+        # check (b) reads the merged members in index order, ending at
+        # row i; None at the last depth stands for every color, since
+        # the last row touches every part
         i = len(v)
         for part, _ in touched:
             assert all(map(int.__lt__, part, part[1:])) and part[-1] < i

@@ -5,11 +5,13 @@ arithmetic, bitwise, boolean or augmented-assignment operator becomes
 its partner (< and <=, == and !=, + and -, & and |, ...), a `not` is
 dropped, True and False trade places, an integer constant grows by one,
 or a slice bound or step e that is given becomes e + 1 (x[:d] becomes
-x[:d + 1]; an integer constant there already grows by one, so it gets
-no second mutant).  Annotations are left alone.  The mutated module is
-written into a fresh copy of src/ and tests/, and the given test files
-run there with -x; a mutant that no test fails survived.  A mutant that runs past
-1.5 GiB of address space fails its run and counts as killed.  A mutant
+x[:d + 1]).  A bound that is a bare integer constant already grows by
+one, so it gets no second mutant; a negative one such as x[:-1] is a
+unary minus, so it gets the sign swap, x[:-2] and x[:-1 + 1].
+Annotations are left alone.  The mutated module is written into a fresh
+copy of src/ and tests/, and the given test files run there with -x; a
+mutant that no test fails survived.  A mutant that runs past 1.5 GiB of
+address space fails its run and counts as killed.  A mutant
 that runs past the timeout (five times the unmutated run, plus 30 s)
 is neither: it is counted and listed as timed out, since a test that
 never ends has not shown the change wrong.

@@ -169,13 +169,14 @@ def parse_matrix(text: str) -> ColorAdjacencyMatrix:
     as well.  JSON booleans are not integers here.
     """
     obj = _load_json(text, "not a matrix")
-    if (not isinstance(obj, list) or not all(isinstance(r, list) for r in obj)
-            or any(isinstance(x, bool) for r in obj for x in r)):
+    if not (isinstance(obj, list) and all(
+            isinstance(r, list) and all(map(_is_int, r)) for r in obj)):
         raise ValueError("expected an array of arrays of integers")
-    try:
-        return ColorAdjacencyMatrix(tuple(tuple(r) for r in obj))
-    except TypeError:
-        raise ValueError("expected an array of arrays of integers") from None
+    return ColorAdjacencyMatrix(tuple(map(tuple, obj)))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _load_json(text: str, what: str):

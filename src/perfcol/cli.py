@@ -28,7 +28,7 @@ from .cam import (
     is_weakly_symmetric,
     parse_matrix,
 )
-from .enumeration import canonical_form, enumerate_cams, passes_filters
+from .enumeration import canonical_dedup, enumerate_cams, passes_filters
 from .golden import (
     platonic_candidates,
     platonic_char_polys,
@@ -362,26 +362,21 @@ def cmd_reproduce(args) -> tuple[str, int]:
                                 ("three-color list", three_color_matrices(), 3)):
         for k_text, matrices in sorted(published.items()):
             k = int(k_text)
-            ours = {A.entries for A in
-                    enumerate_cams(m, k, threads=args.threads).survivors}
-            theirs = {canonical_form(rows).entries for rows in matrices}
+            ours = enumerate_cams(m, k, threads=args.threads).survivors
             checks.append((f"{label} k={k}: set match up to conjugacy "
                            f"({len(matrices)} matrices)",
-                           ours == theirs and len(theirs) == len(matrices)))
+                           canonical_dedup(matrices) == list(ours)
+                           and len(ours) == len(matrices)))
 
     candidates = platonic_candidates()
     for solid in SOLIDS:
         for m_text, expected in sorted(candidates[solid].items()):
             survey = platonic_survey(solid, int(m_text), threads=args.threads)
-            ours = {A.entries: outcome.realizable for A, outcome in survey}
-            theirs_all = {canonical_form(rows).entries
-                          for rows in expected["candidates"]}
-            theirs_bad = {canonical_form(rows).entries
-                          for rows in expected["unrealizable"]}
-            ok = (set(ours) == theirs_all
-                  and len(theirs_all) == len(expected["candidates"])
-                  and {key for key, real in ours.items() if not real}
-                  == theirs_bad)
+            ok = (canonical_dedup(expected["candidates"])
+                  == [A for A, _ in survey]
+                  and len(survey) == len(expected["candidates"])
+                  and canonical_dedup(expected["unrealizable"])
+                  == [A for A, outcome in survey if not outcome.realizable])
             checks.append((f"{solid} {m_text}-color survey: "
                            f"{len(expected['candidates'])} candidates, "
                            f"{len(expected['unrealizable'])} unrealizable",

@@ -23,8 +23,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from operator import index
 
-from .cam import (ColorAdjacencyMatrix, _Value, _cam, _load_json, _ratios,
-                  entries_of)
+from .cam import (ColorAdjacencyMatrix, _Value, _cam, _is_int, _load_json,
+                  _ratios, entries_of)
 
 
 class Graph(_Value):
@@ -138,9 +138,9 @@ class Coloring(_Value):
             raise ValueError("coloring must cover at least one vertex")
         if min(used) < 1 or max(used) > m:
             raise ValueError(f"colors must lie in 1..{m}")
-        missing = set(range(1, m + 1)) - used
-        if missing:
-            raise ValueError(f"color {min(missing)} is unused")
+        if len(used) < m:  # used lies in 1..m, so some color is missing
+            missing = next(c for c in range(1, m + 1) if c not in used)
+            raise ValueError(f"color {missing} is unused")
         self._set(seq, m)
 
     def class_sizes(self) -> tuple[int, ...]:
@@ -494,7 +494,3 @@ def graph_from_json(document) -> Graph:
                 and _is_int(e[0]) and _is_int(e[1])):
             raise ValueError(f"edge {i} is not a pair of integers [u, v]")
     return Graph.from_edges(n, [tuple(e) for e in edges])
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from enum import IntEnum
 from itertools import permutations, product
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from perfcol.cam import (
     ColorAdjacencyMatrix,
     RationalVector,
+    _reaches,
     class_ratios,
     conjugate,
     entries_of,
@@ -191,11 +193,35 @@ def test_parse_matrix_accepts_compact_and_json():
     assert parse_matrix(" [ [0, 3],\n [1, 2] ] ").entries == ((0, 3), (1, 2))
 
 
-@pytest.mark.parametrize("text", ["", "[[0,3],[1,2]", "3", "[[0,3],[1,2.5]]",
-                                  '{"a": 1}', "[[0,3],[1,-2]]",
-                                  "[[true,2],[1,2]]"])
-def test_parse_matrix_rejects(text):
-    with pytest.raises(ValueError):
+INTEGERS = "expected an array of arrays of integers"
+
+
+PARSE_ERRORS = [
+    ("", "not a matrix"),
+    ("[[0,3],[1,2]", "not a matrix"),
+    ("3", INTEGERS),
+    ('{"a": 1}', INTEGERS),
+    ("[3]", INTEGERS),
+    ("[[0,3],[1,2.5]]", INTEGERS),
+    ("[[true,2],[1,2]]", INTEGERS),
+    ("[[0,3],[1,false]]", INTEGERS),
+    ('[[0,3],[1,"2"]]', INTEGERS),
+    ("[[0,3],[1,null]]", INTEGERS),
+    ("[[0,3],[1,[2]]]", INTEGERS),
+    ('[[0,3],[1,{"a":2}]]', INTEGERS),
+    ("[[0,3],[1,1e400]]", INTEGERS),
+    # a type error is reported before the shape
+    ("[[0,1.5],[1]]", INTEGERS),
+    ("[[0,3],[1]]", "square"),
+    ("[]", "at least one row"),
+    ("[[0,3],[1,-2]]", "nonnegative"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS,
+                         ids=[text for text, _ in PARSE_ERRORS])
+def test_parse_matrix_rejects(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_matrix(text)
 
 
@@ -231,6 +257,34 @@ def test_weak_symmetry_and_connectivity_match_definitions_exhaustive(m, top):
 
 
 # ------------------------------------------------------------- consistency
+
+class _RowsReadOnce(tuple):
+    """A matrix whose rows may each be read once."""
+
+    def __init__(self, rows):
+        self.read = set()
+
+    def __getitem__(self, x):
+        assert x not in self.read, f"row {x} read twice"
+        self.read.add(x)
+        return tuple.__getitem__(self, x)
+
+
+def test_reaches_reads_each_row_once():
+    # a color is marked when it is pushed, so the walk reads no row twice,
+    # though rows 0 and 2 lead back to themselves and 0, 1, 2 form cycles
+    a = ((1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 1, 1))
+    reach = [[bool(x) for x in row] for row in a]
+    for k in range(4):  # transitive closure
+        for i in range(4):
+            for j in range(4):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                assert (_reaches(_RowsReadOnce(a), src, dst)
+                        == reach[src][dst]), (src, dst)
+
 
 def test_consistency_trivial_for_two_colors():
     for a in ([[0, 3], [0, 3]], [[0, 3], [1, 2]], [[5, 0], [0, 5]]):

@@ -14,6 +14,7 @@ import pytest
 import perfcol
 from perfcol.cam import (
     class_ratios,
+    conjugate,
     is_color_connected,
     is_consistent,
     is_weakly_symmetric,
@@ -495,17 +496,31 @@ def test_reproduce_paper_all_pass(capsys):
 
 
 def test_reproduce_paper_reports_a_wrong_count(capsys, monkeypatch):
+    # each count, list and survey check fails alone, naming its artifact
     import copy
     import perfcol.cli as cli
-    counts = copy.deepcopy(cli.survivor_counts())
-    counts["2"]["3"] += 1
-    monkeypatch.setattr(cli, "survivor_counts", lambda: counts)
-    code, out, _ = run(capsys, "reproduce-paper")
-    assert code == 1
-    lines = out.strip().splitlines()
-    fails = [line for line in lines if line.startswith("FAIL ")]
-    assert len(fails) == 1 and "m=2 k=3" in fails[0]
-    assert lines[-1] == "FAILED: 35 of 36 artifacts reproduced"
+    cases = [
+        ("survivor_counts", "survivor count m=2 k=3:",
+         lambda d: d["2"].update({"3": d["2"]["3"] + 1})),
+        # the dedup still matches: only the length guard sees a duplicate
+        ("two_color_matrices", "two-color list k=3:",
+         lambda d: d["3"].append(conjugate(d["3"][0], [1, 0]).entries)),
+        ("three_color_matrices", "three-color list k=4:",
+         lambda d: d["4"].pop()),
+        ("platonic_candidates", "octahedron 2-color survey:",
+         lambda d: d["octahedron"]["2"]["unrealizable"].clear()),
+    ]
+    for loader, artifact, change in cases:
+        data = copy.deepcopy(getattr(cli, loader)())
+        change(data)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, loader, lambda data=data: data)
+            code, out, _ = run(capsys, "reproduce-paper")
+        assert code == 1, loader
+        lines = out.strip().splitlines()
+        fails = [line for line in lines if line.startswith("FAIL ")]
+        assert len(fails) == 1 and fails[0].startswith(f"FAIL  {artifact}")
+        assert lines[-1] == "FAILED: 35 of 36 artifacts reproduced"
 
 
 # --------------------------------------------------------------- byte pins

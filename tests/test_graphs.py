@@ -2,14 +2,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perfcol
 from perfcol.cam import parse_matrix
 from perfcol.enumeration import enumerate_cams
 from perfcol.graphs import (
@@ -152,6 +158,10 @@ def test_coloring_validation():
     assert c.class_sizes() == (1, 3)
     with pytest.raises(ValueError, match="color 2 is unused"):
         Coloring((1, 1, 1), 2)
+    with pytest.raises(ValueError, match="color 2 is unused"):
+        Coloring((4, 1, 3, 1), 5)
+    with pytest.raises(ValueError, match="color 3 is unused"):
+        Coloring((2, 1), 3)
     with pytest.raises(ValueError, match="1..2"):
         Coloring((1, 2, 3), 2)
     with pytest.raises(ValueError):
@@ -159,6 +169,25 @@ def test_coloring_validation():
     with pytest.raises(ValueError,
                        match="coloring must cover at least one vertex"):
         Coloring((), 1)
+
+
+def test_unused_color_costs_no_memory_per_color():
+    # the smallest unused color is found by counting up from 1, so a
+    # child that may map 128 MiB reports it even for m = 10**12
+    limit = 128 << 20
+    code = ("from perfcol.graphs import Coloring\n"
+            "try:\n"
+            "    Coloring((1,), 10**12)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(perfcol.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "color 2 is unused\n"
 
 
 # ----------------------------------------------------------------- catalog

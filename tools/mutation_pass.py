@@ -9,7 +9,7 @@ x[:d + 1]).  A bound that is a bare integer constant already grows by
 one, so it gets no second mutant; a negative one such as x[:-1] is a
 unary minus, so it gets the sign swap, x[:-2] and x[:-1 + 1].
 Annotations are left alone.  The mutated module is written into a fresh
-copy of src/ and tests/, and the given test files run there with -x; a
+copy of src/ and tests/, and the given tests run there with -x; a
 mutant that no test fails survived.  A mutant that runs past 1.5 GiB of
 address space fails its run and counts as killed.  A mutant
 that runs past the timeout (five times the unmutated run, plus 30 s)
@@ -21,11 +21,13 @@ never ends has not shown the change wrong.
         --tests tests/test_search.py tests/test_graphs.py
 
 A target is a module under src/perfcol and a function's dotted name in
-it.  The unmutated code is run first and must pass.  Prints one line
-per mutant, then a summary line with the counts, then the survivors and
-the timed-out mutants.  Mutants run side by side, one per CPU the
-process may use.  This file is not a test, and pytest does not collect
-it (tests live under tests/).
+it.  --tests takes pytest node IDs: a test file, or one test in it such
+as tests/test_cli.py::test_reproduce_paper_all_pass.  The unmutated code
+is run first and must pass; if it fails, the tail of pytest's output is
+printed and no mutant runs.  Prints one line per mutant, then a summary
+line with the counts, then the survivors and the timed-out mutants.
+Mutants run side by side, one per CPU the process may use.  This file is
+not a test, and pytest does not collect it (tests live under tests/).
 """
 
 from __future__ import annotations
@@ -153,7 +155,8 @@ def mutant_source(source: str, target: str, number: int):
 
 
 def run_tests(module: str, source: str, tests: list[str],
-              timeout: float) -> str:
+              timeout: float) -> tuple[str, str]:
+    """The verdict, and the last lines of pytest's output."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
         copy = Path(scratch)
         ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
@@ -169,14 +172,16 @@ def run_tests(module: str, source: str, tests: list[str],
                  "-p", "no:cacheprovider", *tests],
                 cwd=copy, env=env, capture_output=True, timeout=timeout)
         except subprocess.TimeoutExpired:
-            return "timeout"
-        return "survived" if proc.returncode == 0 else "killed"
+            return "timeout", ""
+        verdict = "survived" if proc.returncode == 0 else "killed"
+        tail = proc.stdout.decode(errors="replace").splitlines()[-10:]
+        return verdict, "\n".join(tail)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("targets", nargs="+", metavar="MODULE:FUNCTION")
-    parser.add_argument("--tests", nargs="+", required=True, metavar="PATH")
+    parser.add_argument("--tests", nargs="+", required=True, metavar="NODEID")
     args = parser.parse_args(argv)
 
     plan = []  # (module, original source, target, site number)
@@ -194,8 +199,9 @@ def main(argv=None) -> int:
         # the unparsed, unmutated module must pass, or no verdict means much
         unparsed = ast.unparse(ast.parse(source))
         clock = time.perf_counter()
-        if run_tests(module, unparsed, args.tests, 3600) != "survived":
-            print(f"the tests fail on the unmutated {module}")
+        verdict, tail = run_tests(module, unparsed, args.tests, 3600)
+        if verdict != "survived":
+            print(f"the tests fail on the unmutated {module}:\n{tail}")
             return 1
         timeout = max(timeout, 5 * (time.perf_counter() - clock) + 30)
     print(f"timeout {timeout:.0f} s per mutant", flush=True)
@@ -204,7 +210,7 @@ def main(argv=None) -> int:
         module, source, target, number = item
         text, where = mutant_source(source, target, number)
         return (f"{module}:{target} {where}",
-                run_tests(module, text, args.tests, timeout))
+                run_tests(module, text, args.tests, timeout)[0])
 
     found = {"survived": [], "timeout": []}
     # one test run at a time per CPU this process may use

@@ -6,80 +6,14 @@ exhaustive backtracking search, with the Platonic graphs as the worked
 catalog.
 """
 
-from .cam import (
-    ColorAdjacencyMatrix,
-    RationalVector,
-    class_ratios,
-    conjugate,
-    is_color_connected,
-    is_consistent,
-    is_weakly_symmetric,
-    parse_matrix,
-    sizes_for,
-)
-from .enumeration import (
-    EnumerationResult,
-    canonical_dedup,
-    canonical_form,
-    enumerate_cams,
-    generate_row_sum_matrices,
-    passes_filters,
-)
-from .graphs import (
-    Coloring,
-    Graph,
-    build_witness,
-    construct_biregular,
-    construct_regular,
-    emit_dot,
-    emit_edge_list,
-    graph_from_json,
-    graph_to_json,
-    minimal_class_sizes,
-    parse_graph,
-    platonic,
-    verify_coloring,
-)
-from .search import SearchOutcome, find_perfect_coloring, platonic_survey
-from .spectral import IntPolynomial, char_poly, divides, spectral_filter
+from . import cam, enumeration, graphs, search, spectral
+from .cam import *
+from .enumeration import *
+from .graphs import *
+from .search import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ColorAdjacencyMatrix",
-    "RationalVector",
-    "class_ratios",
-    "conjugate",
-    "is_color_connected",
-    "is_consistent",
-    "is_weakly_symmetric",
-    "parse_matrix",
-    "sizes_for",
-    "EnumerationResult",
-    "canonical_dedup",
-    "canonical_form",
-    "enumerate_cams",
-    "generate_row_sum_matrices",
-    "passes_filters",
-    "IntPolynomial",
-    "char_poly",
-    "divides",
-    "spectral_filter",
-    "Coloring",
-    "Graph",
-    "build_witness",
-    "construct_biregular",
-    "construct_regular",
-    "emit_dot",
-    "emit_edge_list",
-    "graph_from_json",
-    "graph_to_json",
-    "minimal_class_sizes",
-    "parse_graph",
-    "platonic",
-    "verify_coloring",
-    "SearchOutcome",
-    "find_perfect_coloring",
-    "platonic_survey",
-    "__version__",
-]
+__all__ = [*cam.__all__, *enumeration.__all__, *spectral.__all__,
+           *graphs.__all__, *search.__all__, "__version__"]

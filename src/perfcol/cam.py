@@ -24,10 +24,13 @@ then one walk (_potentials) that assigns the sizes and decides the rest.
 
 Validation happens once, at the public boundary.  A public function
 normalizes its matrix argument with entries_of (which hands back the
-entries of a ColorAdjacencyMatrix as they are) and passes the nested
-int tuples to _-prefixed kernels, here and in the other modules, which
-never validate.  Internal callers call the kernels, never the public
-functions, but for one: a survey calls spectral_filter, since the
+entries of a ColorAdjacencyMatrix as they are) and passes the nested int
+tuples to _-prefixed kernels, here and in the other modules, which never
+validate.  Internal callers call a kernel wherever there is one, else
+the public function: spectral_filter calls char_poly and divides,
+_graph_char_poly calls char_poly, and _search and build_witness build
+witnesses through the validating Coloring constructor.  A survey calls
+enumerate_cams for its (m, k) memo, and spectral_filter because the
 benchmark counts its traced calls.  Kernel output is wrapped by _cam
 unvalidated; matrices from outside pass entries_of and the sign check.
 """
@@ -39,6 +42,10 @@ from collections.abc import Sequence
 from itertools import chain
 from math import gcd, lcm
 from operator import index
+
+__all__ = ["ColorAdjacencyMatrix", "RationalVector", "class_ratios",
+           "conjugate", "is_color_connected", "is_consistent",
+           "is_weakly_symmetric", "parse_matrix", "sizes_for"]
 
 Entries = tuple[tuple[int, ...], ...]
 

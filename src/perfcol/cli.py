@@ -88,9 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="all color adjacency matrices for m colors and degree k")
     p.add_argument("--colors", "-m", type=_positive, required=True, metavar="M")
     p.add_argument("--degree", "-k", type=_positive, required=True, metavar="K")
-    p.add_argument("--threads", type=_positive, default=None, metavar="N",
-                   help="shard the scan over N processes (default: "
-                        "PERFCOL_THREADS or 1)")
+    _threads_flag(p)
     p.add_argument("--count-only", action="store_true",
                    help="print only the number of survivors")
     _format_flags(p)
@@ -133,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="full candidate pipeline for one Platonic solid")
     p.add_argument("--platonic", required=True, choices=SOLIDS, metavar="NAME")
     p.add_argument("--colors", "-m", type=_positive, required=True, metavar="M")
-    p.add_argument("--threads", type=_positive, default=None, metavar="N")
+    _threads_flag(p)
     p.add_argument("--dot-dir", metavar="DIR",
                    help="write a DOT witness per realizable candidate")
     _format_flags(p)
@@ -143,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reproduce-paper",
         help="replay all published computations and report pass/fail")
-    p.add_argument("--threads", type=_positive, default=None, metavar="N")
+    _threads_flag(p)
     _output_flag(p)
     p.set_defaults(func=cmd_reproduce)
 
@@ -184,6 +182,12 @@ def _format_flags(p: argparse.ArgumentParser, dot: bool = False) -> None:
 def _output_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", metavar="FILE",
                    help="write the result here instead of stdout")
+
+
+def _threads_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=_positive, default=None, metavar="N",
+                   help="shard the scan over N processes (default: "
+                        "PERFCOL_THREADS or 1)")
 
 
 def _range_notice(m: int | None, k: int | None) -> None:
@@ -274,7 +278,7 @@ def cmd_witness(args) -> tuple[str, int]:
     else:
         doc = json.dumps({
             "matrix": A.entries,
-            "sizes": minimal_class_sizes(A),
+            "sizes": coloring.class_sizes(),
             "n": graph.n,
             "edges": graph.edges(),
             "coloring": coloring.assignment,

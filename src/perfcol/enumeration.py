@@ -77,6 +77,9 @@ from .cam import (
     entries_of,
 )
 
+__all__ = ["EnumerationResult", "canonical_dedup", "canonical_form",
+           "enumerate_cams", "generate_row_sum_matrices", "passes_filters"]
+
 
 class EnumerationResult(_Value):
     """Outcome of one (m, k) enumeration run.
@@ -285,8 +288,6 @@ def _scan_range(m: int, k: int, first: int, stride: int):
             box = (range(1, x + 1) if x else (0,) for x in col)
             boxes[col] = [(p, by_prefix[p]) for p in product(*box)
                           if p in by_prefix]
-        if not boxes[col]:
-            return
         if i == m - 1:  # by (c) every part reaches color m-1
             touched, members = parts, None
         else:

@@ -26,6 +26,11 @@ from operator import index
 from .cam import (ColorAdjacencyMatrix, _Value, _cam, _is_int, _load_json,
                   _ratios, entries_of)
 
+__all__ = ["Coloring", "Graph", "build_witness", "construct_biregular",
+           "construct_regular", "emit_dot", "emit_edge_list",
+           "graph_from_json", "graph_to_json", "minimal_class_sizes",
+           "parse_graph", "platonic", "verify_coloring"]
+
 
 class Graph(_Value):
     """An undirected simple graph on vertices 0 .. n-1."""

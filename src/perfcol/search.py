@@ -52,6 +52,8 @@ from .graphs import Coloring, Graph, _sizes_fit, platonic
 from .spectral import spectral_filter
 from .enumeration import enumerate_cams
 
+__all__ = ["SearchOutcome", "find_perfect_coloring", "platonic_survey"]
+
 
 class SearchOutcome(_Value):
     """Result of one realizability search.

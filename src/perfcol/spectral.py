@@ -29,6 +29,8 @@ from operator import add, getitem, index, mul
 
 from .cam import _Value, entries_of
 
+__all__ = ["IntPolynomial", "char_poly", "divides", "spectral_filter"]
+
 
 class IntPolynomial(_Value):
     """A monic polynomial with integer coefficients, highest degree first."""

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import perfcol
+from perfcol import cam, enumeration, graphs, search, spectral
 from perfcol.cli import build_parser
 
 PUBLIC_NAMES = {
@@ -54,6 +55,31 @@ def test_public_names_are_pinned():
     assert len(perfcol.__all__) == len(PUBLIC_NAMES)
     for name in perfcol.__all__:
         assert hasattr(perfcol, name), name
+
+
+def test_each_public_name_is_declared_once_where_it_is_defined():
+    # in the order of perfcol.__all__
+    modules = (cam, enumeration, spectral, graphs, search)
+    declared = []
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(module, name).__module__ == module.__name__, name
+        declared += module.__all__
+    assert len(set(declared)) == len(declared)
+    assert perfcol.__all__ == [*declared, "__version__"]
+    # __init__.py only gathers the lists: it binds submodules, the
+    # version and __all__, and no function or class of its own
+    bound = []
+    for node in ast.parse(Path(perfcol.__file__).read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            bound += [target.id for target in node.targets]
+        elif not isinstance(node, ast.Expr):  # the docstring
+            bound.append(type(node).__name__)
+    assert {name for name in bound if not (
+        name in ("*", "__version__", "__all__")
+        or getattr(perfcol, name, None) in modules)} == set()
 
 
 def test_cli_option_strings_are_pinned():

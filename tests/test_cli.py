@@ -126,12 +126,18 @@ def test_bad_threads_environment_stops_before_any_work(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("survey", "--platonic", "tetrahedron", "--colors", "2"),
     ("reproduce-paper",),
+    ("enumerate", "-m", "2", "-k", "3"),
 ])
 def test_threads_flag_overrides_bad_environment(capsys, monkeypatch, argv):
     want = run(capsys, *argv, "--threads", "1")
     assert want[0] == 0
     monkeypatch.setenv("PERFCOL_THREADS", "x")
     assert run(capsys, *argv, "--threads", "1") == want
+    # the help names the variable that stands in for an absent flag
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], "--help"])
+    assert err.value.code == 0
+    assert "PERFCOL_THREADS" in capsys.readouterr().out
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

@@ -567,6 +567,9 @@ def test_parse_graph_comments_and_blanks():
     ("x\n", "line 1: expected the vertex count"),
     ("²\n", "line 1: expected the vertex count"),
     ("", "missing the vertex count"),
+    # an endpoint of exactly n names its line too
+    ("3\n3 0\n", "line 2: endpoint out of range 0..2"),
+    ("3\n0 3\n", "line 2: endpoint out of range 0..2"),
 ])
 def test_parse_graph_errors(text, message):
     with pytest.raises(ValueError, match=message):
